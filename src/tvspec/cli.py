@@ -80,10 +80,7 @@ def cmd_simulate(args) -> int:
     spec = DgpSpec(model=args.dgp, innovation=InnovationSpec(args.innov), T=args.T)
     series = simulate_dgp(spec, np.random.default_rng(seed))
     out = Path(args.output)
-    with out.open("w") as fh:
-        fh.write("x\n")
-        for v in series.values:
-            fh.write((FLOAT_FMT % v) + "\n")
+    np.savetxt(out, series.values, fmt=FLOAT_FMT, header="x", comments="")
     print(f"wrote {len(series)} samples to {out} (seed {seed})")
     return 0
 
@@ -95,15 +92,16 @@ def cmd_periodogram(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = Path(args.output)
-    with out.open("w") as fh:
-        fh.write("t,u,lambda_index,lambda,MI\n")
-        for t in range(1, pg.T + 1):
-            j = int(pg.frequency_index(t))
-            fh.write(
-                "%d,%s,%d,%s,%s\n"
-                % (t, FLOAT_FMT % (t / pg.T), j, FLOAT_FMT % pg.frequencies[j - 1],
-                   FLOAT_FMT % pg.ordinates[t - 1])
-            )
+    t = np.arange(1, pg.T + 1)
+    j = pg.frequency_index(t)
+    np.savetxt(
+        out,
+        np.column_stack((t, t / pg.T, j, pg.frequencies[j - 1], pg.ordinates)),
+        fmt=("%d", FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT),
+        delimiter=",",
+        header="t,u,lambda_index,lambda,MI",
+        comments="",
+    )
     print(f"wrote {pg.T} ordinates to {out}")
     return 0
 
@@ -153,24 +151,16 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
     summary = summarize(samples, time_grid, freq_grid, len(series), args.m)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "surface.csv").open("w") as fh:
-        fh.write("u,lambda,mean,median,q05,q95\n")
-        for it in range(time_grid.size):
-            for jf in range(freq_grid.size):
-                fh.write(
-                    ",".join(
-                        FLOAT_FMT % v
-                        for v in (
-                            time_grid[it],
-                            freq_grid[jf],
-                            summary.mean[it, jf],
-                            summary.median[it, jf],
-                            summary.q05[it, jf],
-                            summary.q95[it, jf],
-                        )
-                    )
-                    + "\n"
-                )
+    uu, ll = np.meshgrid(time_grid, freq_grid, indexing="ij")
+    columns = (uu, ll, summary.mean, summary.median, summary.q05, summary.q95)
+    np.savetxt(
+        out_dir / "surface.csv",
+        np.column_stack([c.ravel() for c in columns]),
+        fmt=FLOAT_FMT,
+        delimiter=",",
+        header="u,lambda,mean,median,q05,q95",
+        comments="",
+    )
 
     metadata = {
         "config": _run_config(args, seed),
@@ -211,14 +201,20 @@ def cmd_estimate(args) -> int:
     seed = _default_seed(args.seed)
     series = _read_series_csv(args.input)
     out_dir = Path(args.output_dir)
-    if args.chains <= 1:
+    if args.chains == 1:
         meta = _estimate_one(series.values, args, seed, out_dir)
         print(f"bayes_factor_01={meta['bayes_factor_01']:.6g} -> {out_dir}")
         return 0
-    with ProcessPoolExecutor(max_workers=args.chains) as pool:
+    # Spawned seeds give independent streams; each chain's metadata.json
+    # records its own, which reruns that chain alone as --seed.
+    seeds = [
+        int(child.generate_state(1, np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(args.chains)
+    ]
+    with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(_estimate_one, series.values, args, seed + c, out_dir / f"chain_{c:02d}")
-            for c in range(args.chains)
+            pool.submit(_estimate_one, series.values, args, s, out_dir / f"chain_{c:02d}")
+            for c, s in enumerate(seeds)
         ]
         for c, fut in enumerate(futures):
             meta = fut.result()
@@ -242,25 +238,24 @@ def _read_surface_csv(path: str):
 
 def cmd_ase(args) -> int:
     u, lam, mean = _read_surface_csv(args.surface)
+    # estimate writes u in {0, 1/T, ..., 1}; the score uses {1/T, ..., 1}.
+    keep = u != 0.0
+    u, lam, mean = u[keep], lam[keep], mean[keep]
     uu = np.unique(u)
     ll = np.unique(lam)
     T, K = uu.size, ll.size - 1
+    n_pairs = len(np.unique(np.column_stack((u, lam)), axis=0))
     if not (
-        u.size == T * (K + 1)
+        T >= 1
+        and K >= 1
+        and n_pairs == u.size == T * (K + 1)
         and np.allclose(uu, np.arange(1, T + 1) / T, atol=1e-9)
         and np.allclose(ll, np.arange(0, K + 1) / K, atol=1e-9)
     ):
         raise DataError(
             "surface grid mismatch: expected u in {1/T..1} and lambda in {0..1} with step 1/K"
         )
-    est = mean.reshape(T, K + 1)
-    idx_u = {round(v, 12): i for i, v in enumerate(uu)}
-    idx_l = {round(v, 12): i for i, v in enumerate(ll)}
-    # Rebuild the matrix in grid order in case rows were not sorted.
-    grid_est = np.empty((T, K + 1))
-    for row in range(u.size):
-        grid_est[idx_u[round(float(u[row]), 12)], idx_l[round(float(lam[row]), 12)]] = mean[row]
-    est = grid_est
+    est = mean[np.lexsort((lam, u))].reshape(T, K + 1)
 
     def estimate_fn(uq, lq):
         iu = np.clip(np.rint(np.asarray(uq) * T).astype(int) - 1, 0, T - 1)
@@ -276,6 +271,13 @@ def cmd_ase(args) -> int:
         raise DataError(str(exc)) from exc
     print(FLOAT_FMT % value)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--freq-grid", dest="freq_grid", type=int, default=101)
     p_est.add_argument("--output-dir", dest="output_dir", default="tvspec-run")
     p_est.add_argument("--save-draws", dest="save_draws", action="store_true")
-    p_est.add_argument("--chains", type=int, default=1)
+    p_est.add_argument("--chains", type=_positive_int, default=1)
     p_est.set_defaults(func=cmd_estimate)
 
     p_ase = sub.add_parser("ase", help="average square error of a surface vs a DGP truth")

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 
 import numpy as np
 
 from .likelihood import EvaluationError
 from .prior import PriorConfig, prior_prob_k1_equals_1
 from .sampler import PosteriorSampleSet
-from .surface import atom_bins, basis_matrix, stick_weights
+from .surface import atom_bins, basis_matrix, stick_weights, surface_shape
 
 
 @dataclass
@@ -47,8 +48,33 @@ def map_to_internal_time(v, original_n: int, m: int) -> np.ndarray:
     return np.clip((np.asarray(v, dtype=float) * original_n - m) / t_eff, 0.0, 1.0)
 
 
-def _nearest_rank_quantile(values: np.ndarray, q: float, axis: int = 0) -> np.ndarray:
-    return np.quantile(values, q, axis=axis, method="inverted_cdf")
+def _draw_surfaces(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray):
+    """Yield each draw's surface on the tensor grid u x lam, draw by draw."""
+    basis_cfg = samples.prior.basis
+    bu_by_k = {int(k): basis_matrix(u, int(k), basis_cfg)[:, :, None] for k in np.unique(samples.k1)}
+    bl_by_k = {int(k): basis_matrix(lam, int(k), basis_cfg)[:, None, :] for k in np.unique(samples.k2)}
+    tau = np.exp(samples.log_tau)
+    for i in range(len(samples)):
+        k1, k2 = int(samples.k1[i]), int(samples.k2[i])
+        yield tau[i] * surface_shape(
+            stick_weights(samples.V[i]),
+            atom_bins(k1, samples.W1[i]),
+            atom_bins(k2, samples.W2[i]),
+            bu_by_k[k1],
+            bl_by_k[k2],
+        )
+
+
+def _pointwise_stats(block: np.ndarray):
+    """Mean, median, 5% and 95% nearest-rank quantiles over axis 0.
+
+    Sorts ``block`` in place; one sort serves all three order statistics.
+    """
+    n = block.shape[0]
+    mean = block.mean(axis=0)
+    block.sort(axis=0)
+    median = (block[(n - 1) // 2] + block[n // 2]) / 2
+    return mean, median, block[ceil(n * 0.05) - 1], block[ceil(n * 0.95) - 1]
 
 
 def summarize(
@@ -66,32 +92,21 @@ def summarize(
     u = map_to_internal_time(time_grid, original_n, m)
     nt, nf = u.size, freq_grid.size
     n = len(samples)
-    basis_cfg = samples.prior.basis
 
-    bu_by_k = {int(k): basis_matrix(u, int(k), basis_cfg) for k in np.unique(samples.k1)}
-    bl_by_k = {int(k): basis_matrix(freq_grid, int(k), basis_cfg) for k in np.unique(samples.k2)}
-    tau = np.exp(samples.log_tau)
-
-    mean = np.zeros((nt, nf))
+    mean = np.empty((nt, nf))
     median = np.empty((nt, nf))
     q05 = np.empty((nt, nf))
     q95 = np.empty((nt, nf))
 
     # Chunk the time axis so the (draws x chunk x freq) block stays small.
+    # Each chunk rebuilds its bases, which costs little next to the draws.
     chunk = max(1, int(4e7 // max(1, n * nf)))
     for lo in range(0, nt, chunk):
         hi = min(nt, lo + chunk)
         block = np.empty((n, hi - lo, nf))
-        for i in range(n):
-            k1, k2 = int(samples.k1[i]), int(samples.k2[i])
-            p = stick_weights(samples.V[i])
-            bu = bu_by_k[k1][atom_bins(k1, samples.W1[i]) - 1, lo:hi]
-            bl = bl_by_k[k2][atom_bins(k2, samples.W2[i]) - 1]
-            block[i] = tau[i] * np.einsum("l,lt,lf->tf", p, bu, bl)
-        mean[lo:hi] = block.mean(axis=0)
-        median[lo:hi] = np.median(block, axis=0)
-        q05[lo:hi] = _nearest_rank_quantile(block, 0.05)
-        q95[lo:hi] = _nearest_rank_quantile(block, 0.95)
+        for i, surface in enumerate(_draw_surfaces(samples, u[lo:hi], freq_grid)):
+            block[i] = surface
+        mean[lo:hi], median[lo:hi], q05[lo:hi], q95[lo:hi] = _pointwise_stats(block)
 
     k_axis = np.arange(1, samples.prior.k_max + 1)
     k1_pmf = np.array([(samples.k1 == k).mean() for k in k_axis])
@@ -129,22 +144,12 @@ def posterior_mean_surface(
     """Streaming posterior mean surface; cheaper than summarize on big grids."""
     if len(samples) == 0:
         raise ValueError("empty posterior sample set")
-    time_grid = np.asarray(time_grid, dtype=float)
     freq_grid = np.asarray(freq_grid, dtype=float)
     u = map_to_internal_time(time_grid, original_n, m)
-    basis_cfg = samples.prior.basis
-    bu_by_k = {int(k): basis_matrix(u, int(k), basis_cfg) for k in np.unique(samples.k1)}
-    bl_by_k = {int(k): basis_matrix(freq_grid, int(k), basis_cfg) for k in np.unique(samples.k2)}
-    tau = np.exp(samples.log_tau)
     acc = np.zeros((u.size, freq_grid.size))
-    n = len(samples)
-    for i in range(n):
-        k1, k2 = int(samples.k1[i]), int(samples.k2[i])
-        p = stick_weights(samples.V[i])
-        bu = bu_by_k[k1][atom_bins(k1, samples.W1[i]) - 1]
-        bl = bl_by_k[k2][atom_bins(k2, samples.W2[i]) - 1]
-        acc += tau[i] * np.einsum("l,lt,lf->tf", p, bu, bl)
-    return acc / n
+    for surface in _draw_surfaces(samples, u, freq_grid):
+        acc += surface
+    return acc / len(samples)
 
 
 def savage_dickey_bf(samples: PosteriorSampleSet, prior_cfg: PriorConfig) -> float:

@@ -14,7 +14,7 @@ from math import ceil
 
 import numpy as np
 
-from .periodogram import MovingPeriodogramSet, fourier_frequencies, mod_index
+from .periodogram import MovingPeriodogramSet, mod_index
 
 
 class EvaluationError(RuntimeError):
@@ -94,7 +94,3 @@ def log_dynamic_whittle(
         )
     return float(np.sum(-np.log(f) - mi / f))
 
-
-def grid_frequencies(m: int) -> np.ndarray:
-    """Convenience re-export of the Fourier frequency ladder."""
-    return fourier_frequencies(m)

@@ -15,7 +15,6 @@ default Inverse-Gamma(0.001, 0.001) has astronomically heavy tails.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import lgamma, log, sqrt
 
@@ -24,7 +23,14 @@ import numpy as np
 from .likelihood import LikelihoodGrid
 from .periodogram import MovingPeriodogramSet
 from .prior import PriorConfig, degree_pmf
-from .surface import StickBreakingMeasure, SurfaceParams, atom_bins, basis_matrix, stick_weights
+from .surface import (
+    StickBreakingMeasure,
+    SurfaceParams,
+    atom_bins,
+    basis_matrix,
+    stick_weights,
+    surface_shape,
+)
 
 BLOCK_NAMES = ("k1", "k2", "W1", "W2", "V", "tau")
 
@@ -103,27 +109,6 @@ def _logit_jacobian(z) -> float:
     return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
 
 
-class _BasisCache:
-    """Small LRU of basis matrices keyed by polynomial degree."""
-
-    def __init__(self, points: np.ndarray, basis_cfg, max_size: int = 12):
-        self.points = points
-        self.cfg = basis_cfg
-        self.max_size = max_size
-        self._store: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def get(self, k: int) -> np.ndarray:
-        mat = self._store.get(k)
-        if mat is None:
-            mat = basis_matrix(self.points, k, self.cfg)
-            self._store[k] = mat
-            if len(self._store) > self.max_size:
-                self._store.popitem(last=False)
-        else:
-            self._store.move_to_end(k)
-        return mat
-
-
 class _AdaptiveBlock:
     """Running mean/covariance of a block's past draws (Welford)."""
 
@@ -161,13 +146,14 @@ class _Chain:
         self.use_likelihood = use_likelihood
         self.grid = grid
         self.mi = periodograms.ordinates[grid.t - 1]
+        self.u, self.lam = grid.u, grid.lam
         self.n_entries = len(grid)
         self.L = prior_cfg.truncation_level(grid.m, grid.n_blocks)
         self.log_pmf = np.log(degree_pmf(prior_cfg))
 
-        if use_likelihood:
-            self.cache_u = _BasisCache(grid.u, prior_cfg.basis)
-            self.cache_lam = _BasisCache(grid.lam, prior_cfg.basis)
+        # Basis matrices at the entries, keyed by degree: at most k_max per axis.
+        self.basis_u: dict[int, np.ndarray] = {}
+        self.basis_lam: dict[int, np.ndarray] = {}
 
         self._init_state()
         self.adapt = {name: _AdaptiveBlock(dim) for name, dim in
@@ -209,17 +195,20 @@ class _Chain:
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b (tau factored out)."""
         if not self.use_likelihood:
             return 0.0, 0.0
-        b = self._surface_shape(k1, k2, zW1, zW2, p)
+        b = surface_shape(
+            p,
+            atom_bins(k1, _expit(zW1)),
+            atom_bins(k2, _expit(zW2)),
+            self._basis(self.basis_u, self.u, k1),
+            self._basis(self.basis_lam, self.lam, k2),
+        )
         return float(np.sum(np.log(b))), float(np.sum(self.mi / b))
 
-    def _surface_shape(self, k1, k2, zW1, zW2, p):
-        W1 = _expit(zW1)
-        W2 = _expit(zW2)
-        j1 = atom_bins(k1, W1) - 1
-        j2 = atom_bins(k2, W2) - 1
-        bu = self.cache_u.get(k1)[j1]
-        bl = self.cache_lam.get(k2)[j2]
-        return p @ (bu * bl)
+    def _basis(self, cache: dict, points: np.ndarray, k: int) -> np.ndarray:
+        mat = cache.get(k)
+        if mat is None:
+            mat = cache[k] = basis_matrix(points, k, self.prior_cfg.basis)
+        return mat
 
     # -- log densities ----------------------------------------------------
 
@@ -316,7 +305,14 @@ class _Chain:
         z_new = z_old + self._propose_increment(name, z_old.size)
 
         if name == "V":
-            p_new = stick_weights(_expit(z_new))
+            V_new = _expit(z_new)
+            if np.any(V_new <= 0.0) or np.any(V_new >= 1.0):
+                # A stick rounded to 0 or 1 has prior density 0: reject, and
+                # draw the accept uniform anyway to keep the stream aligned.
+                self.rng.uniform()
+                self._record(name, False)
+                return
+            p_new = stick_weights(V_new)
             A_new, C_new = self._whittle_terms(self.k1, self.k2, self.zW1, self.zW2, p_new)
             delta_prior = self._v_term(z_new) - self._v_term(z_old)
         elif name == "W1":

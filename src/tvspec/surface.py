@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-
-from .special import betainc_reg
+from scipy.special import betainc, gammaln
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def _norm_const(a: int, b: int, cfg: BetaBasisConfig) -> float:
     key = (a, b, cfg.xi_left, cfg.xi_right)
     c = _NORM_CACHE.get(key)
     if c is None:
-        mass = betainc_reg(a, b, cfg.xi_right) - betainc_reg(a, b, cfg.xi_left)
+        mass = betainc(a, b, cfg.xi_right) - betainc(a, b, cfg.xi_left)
         c = (cfg.xi_right - cfg.xi_left) / mass
         _NORM_CACHE[key] = c
     return c
@@ -162,19 +160,31 @@ def weights_from_measure(k1: int, k2: int, measure: StickBreakingMeasure) -> np.
     return w
 
 
+def surface_shape(p, bins1, bins2, B_u, B_lam) -> np.ndarray:
+    """Surface divided by tau: sum_l p_l B_u[bins1_l] * B_lam[bins2_l].
+
+    ``bins1`` and ``bins2`` are the 1-based atom bins from ``atom_bins``;
+    the basis tables have one row per degree index.  Their point axes
+    broadcast: entry-aligned (k, E) tables give E pointwise values, and
+    ``B_u[:, :, None]`` with ``B_lam[:, None, :]`` give the tensor grid.
+    """
+    prod = B_u[bins1 - 1] * B_lam[bins2 - 1]
+    return (p @ prod.reshape(p.size, -1)).reshape(prod.shape[1:])
+
+
 def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:
     """Evaluate the surface pointwise; ``u`` and ``lam`` broadcast."""
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
     u, lam = np.broadcast_arrays(u, lam)
     shape = u.shape
-    uf, lf = u.ravel(), lam.ravel()
 
     m = params.measure
-    p = m.weights()
-    j1 = atom_bins(params.k1, m.W1)
-    j2 = atom_bins(params.k2, m.W2)
-    bu = basis_matrix(uf, params.k1, params.basis)
-    bl = basis_matrix(lf, params.k2, params.basis)
-    vals = params.tau * np.einsum("l,lx,lx->x", p, bu[j1 - 1], bl[j2 - 1])
+    vals = params.tau * surface_shape(
+        m.weights(),
+        atom_bins(params.k1, m.W1),
+        atom_bins(params.k2, m.W2),
+        basis_matrix(u.ravel(), params.k1, params.basis),
+        basis_matrix(lam.ravel(), params.k2, params.basis),
+    )
     return vals.reshape(shape) if shape else float(vals[0])

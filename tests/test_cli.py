@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import tvspec.cli
 from tvspec.cli import main
+from tvspec.inference import ase
 from tvspec.signal import true_tv_psd
 
 
@@ -129,6 +133,47 @@ class TestEstimate:
         assert main(["estimate", "--input", str(short), "--m", "30",
                      "--output-dir", str(tmp_path / "o")]) == 3
 
+    def test_chains_below_one_usage_error(self, tmp_path, series_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(series_file), "--chains", "0",
+                  "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+    def test_chain_workers_capped_and_seeds_spawned(self, tmp_path, series_file, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Runs submitted work in this process; records the requested workers."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(tvspec.cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "chains"
+        assert main(["estimate", "--input", str(series_file), "--m", "15",
+                     "--thinning", "1", "--iters", "300", "--burnin", "100",
+                     "--seed", "5", "--time-grid", "5", "--freq-grid", "5",
+                     "--chains", "3", "--output-dir", str(out)]) == 0
+        assert pools == [2]
+        spawned = [int(c.generate_state(1, np.uint64)[0])
+                   for c in np.random.SeedSequence(5).spawn(3)]
+        recorded = [json.loads((out / f"chain_{c:02d}" / "metadata.json").read_text())
+                    ["config"]["seed"] for c in range(3)]
+        assert recorded == spawned
+        assert len(set(recorded)) == 3
+
     def test_headerless_input_accepted(self, tmp_path):
         raw = tmp_path / "raw.csv"
         rng = np.random.default_rng(1)
@@ -163,6 +208,21 @@ class TestAseCommand:
         self._write_surface(surf, "S2", 30, 99, factor=np.e)
         assert main(["ase", "--surface", str(surf), "--dgp", "S2"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0, rel=1e-10)
+
+    def test_estimate_output_scored(self, tmp_path, series_file, capsys):
+        out = run_estimate(tmp_path, series_file, "run")
+        capsys.readouterr()
+        assert main(["ase", "--surface", str(out / "surface.csv"), "--dgp", "LS3"]) == 0
+        printed = float(capsys.readouterr().out.strip())
+        # surface.csv holds u = i/20 (i = 0..20) by lambda = j/15; ase scores i >= 1.
+        table = np.loadtxt(out / "surface.csv", delimiter=",", skiprows=1)
+        est = table[:, 2].reshape(21, 16)[1:]
+
+        def estimate(u, lam):
+            return est[np.rint(u * 20).astype(int) - 1, np.rint(lam * 15).astype(int)]
+
+        expected = ase(estimate, lambda u, lam: true_tv_psd("LS3", u, lam), 20, 15)
+        assert printed == expected
 
     def test_grid_mismatch_exit_3(self, tmp_path, capsys):
         surf = tmp_path / "surf.csv"

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvspec.inference import (
+    _pointwise_stats,
     ase,
     map_to_internal_time,
     posterior_mean_surface,
@@ -108,6 +111,32 @@ class TestSummarize:
         out = summarize(s, tg, fg, 300, 20)
         mean = posterior_mean_surface(s, tg, fg, 300, 20)
         assert np.allclose(mean, out.mean, rtol=1e-12, atol=1e-12)
+
+
+class TestPointwiseStats:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 2000),
+        cells=st.integers(1, 3),
+        levels=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, cells=1, levels=50, seed=0)
+    @example(n=2, cells=1, levels=50, seed=0)
+    @example(n=1999, cells=2, levels=50, seed=0)
+    @example(n=2000, cells=2, levels=50, seed=0)
+    def test_sorted_order_matches_numpy(self, n, cells, levels, seed):
+        # Few distinct levels give ties; many give distinct values.
+        rng = np.random.default_rng(seed)
+        block = rng.integers(0, levels, size=(n, cells)) + rng.uniform(size=(n, cells)) * (levels > 25)
+        ref = (
+            block.mean(axis=0),
+            np.median(block, axis=0),
+            np.quantile(block, 0.05, axis=0, method="inverted_cdf"),
+            np.quantile(block, 0.95, axis=0, method="inverted_cdf"),
+        )
+        for got, want in zip(_pointwise_stats(block.copy()), ref):
+            assert np.array_equal(got, want)
 
 
 class TestSavageDickey:

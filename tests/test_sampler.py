@@ -1,5 +1,7 @@
 """Tests for the blocked adaptive Metropolis-Hastings sampler."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +9,7 @@ from scipy import stats
 from tvspec.likelihood import build_grid
 from tvspec.periodogram import WindowConfig, moving_periodograms
 from tvspec.prior import PriorConfig, degree_pmf
-from tvspec.sampler import PosteriorSampleSet, SamplerConfig, run_chain
+from tvspec.sampler import PosteriorSampleSet, SamplerConfig, _Chain, run_chain
 from tvspec.signal import DgpSpec, InnovationSpec, TimeSeries, simulate_dgp
 
 
@@ -79,6 +81,22 @@ class TestBookkeeping:
         pg, grid = make_inputs()
         cfg = SamplerConfig(n_iter=3000, burn_in=1000, seed=6, debug_check_every=250)
         run_chain(pg, grid, PriorConfig(), cfg)  # raises on drift > 1e-8
+
+
+class TestStickMoves:
+    def test_stick_rounding_to_one_is_rejected(self):
+        pg, grid = make_inputs()
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16),
+                       np.random.default_rng(16), use_likelihood=True)
+        chain._propose_increment = lambda name, dim: np.full(dim, 40.0)
+        zV, A, C = chain.zV.copy(), chain.A, chain.C
+        expected_rng = copy.deepcopy(chain.rng)
+        expected_rng.uniform()
+        chain.step_block("V")  # expit(0 + 40) rounds to 1.0
+        assert (chain.proposals["V"], chain.accepts["V"]) == (1, 0)
+        assert np.array_equal(chain.zV, zV) and (chain.A, chain.C) == (A, C)
+        assert chain.rng.bit_generator.state == expected_rng.bit_generator.state
+        chain.check_cache_drift()
 
 
 class TestDegreeMoves:

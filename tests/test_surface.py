@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
-from tvspec.special import betainc_reg
 from tvspec.surface import (
     BetaBasisConfig,
     StickBreakingMeasure,
@@ -14,6 +15,7 @@ from tvspec.surface import (
     evaluate_surface,
     standard_basis_matrix,
     stick_weights,
+    surface_shape,
     truncated_beta_density,
     weights_from_measure,
 )
@@ -32,22 +34,6 @@ def random_params(rng, L=6, k_max=20, cfg=None):
         measure=measure,
         basis=cfg or BetaBasisConfig(),
     )
-
-
-class TestBetaincReg:
-    def test_against_scipy(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            a = int(rng.integers(1, 201))
-            b = int(rng.integers(1, 201))
-            x = float(rng.uniform())
-            ours = betainc_reg(a, b, x)
-            ref = float(special.betainc(a, b, x))
-            assert ours == pytest.approx(ref, abs=1e-12)
-
-    def test_endpoints(self):
-        assert betainc_reg(3, 7, 0.0) == 0.0
-        assert betainc_reg(3, 7, 1.0) == 1.0
 
 
 class TestStickWeights:
@@ -283,3 +269,54 @@ class TestEvaluateSurface:
             StickBreakingMeasure(V=[0.5], W1=[0.5], W2=[0.5, 0.5])
         with pytest.raises(ValueError):
             StickBreakingMeasure(V=[0.5], W1=[0.5, 1.5], W2=[0.5, 0.5])
+
+
+@st.composite
+def shape_cases(draw):
+    """Sticks, atoms, degrees and a few evaluation points for surface_shape."""
+    L = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    V = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=L, max_size=L)))
+    W1 = np.array(draw(st.lists(unit, min_size=L + 1, max_size=L + 1)))
+    W2 = np.array(draw(st.lists(unit, min_size=L + 1, max_size=L + 1)))
+    k1, k2 = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    u = np.array(draw(st.lists(unit, min_size=1, max_size=4)))
+    lam = np.array(draw(st.lists(unit, min_size=1, max_size=4)))
+    return stick_weights(V), atom_bins(k1, W1), atom_bins(k2, W2), k1, k2, u, lam
+
+
+def double_sum(p, bins1, bins2, k1, k2, u, lam):
+    """Brute-force sum over atoms of p_l times the two truncated beta densities."""
+    return sum(
+        p_l
+        * truncated_beta_density(u, int(j1), k1 - int(j1) + 1)
+        * truncated_beta_density(lam, int(j2), k2 - int(j2) + 1)
+        for p_l, j1, j2 in zip(p, bins1, bins2)
+    )
+
+
+class TestSurfaceShape:
+    @settings(max_examples=60, deadline=None)
+    @given(shape_cases())
+    def test_pointwise_matches_double_sum(self, case):
+        p, bins1, bins2, k1, k2, u, lam = case
+        n = min(u.size, lam.size)
+        u, lam = u[:n], lam[:n]
+        got = surface_shape(p, bins1, bins2, basis_matrix(u, k1), basis_matrix(lam, k2))
+        assert got.shape == (n,)
+        assert np.allclose(got, double_sum(p, bins1, bins2, k1, k2, u, lam), rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape_cases())
+    def test_grid_matches_double_sum_and_pointwise(self, case):
+        p, bins1, bins2, k1, k2, u, lam = case
+        B_u, B_lam = basis_matrix(u, k1), basis_matrix(lam, k2)
+        grid = surface_shape(p, bins1, bins2, B_u[:, :, None], B_lam[:, None, :])
+        assert grid.shape == (u.size, lam.size)
+        ref = double_sum(p, bins1, bins2, k1, k2, u[:, None], lam[None, :])
+        assert np.allclose(grid, ref, rtol=1e-12, atol=0)
+        uu, ll = np.meshgrid(u, lam, indexing="ij")
+        pointwise = surface_shape(
+            p, bins1, bins2, basis_matrix(uu.ravel(), k1), basis_matrix(ll.ravel(), k2)
+        )
+        assert np.allclose(grid.ravel(), pointwise, rtol=1e-13, atol=0)
