@@ -107,24 +107,8 @@ def cmd_periodogram(args) -> int:
 
 
 def _run_config(args, seed: int) -> dict:
-    return {
-        "input": args.input,
-        "m": args.m,
-        "thinning": args.thinning,
-        "iters": args.iters,
-        "burnin": args.burnin,
-        "thin": args.thin,
-        "seed": seed,
-        "kmax": args.kmax,
-        "xi_l": args.xi_l,
-        "xi_r": args.xi_r,
-        "truncation_L": args.truncation_L,
-        "time_grid": args.time_grid,
-        "freq_grid": args.freq_grid,
-        "save_draws": args.save_draws,
-        "chains": args.chains,
-        "version": __version__,
-    }
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return {**config, "seed": seed, "version": __version__}
 
 
 def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
@@ -334,9 +318,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

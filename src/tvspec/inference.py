@@ -108,9 +108,8 @@ def summarize(
             block[i] = surface
         mean[lo:hi], median[lo:hi], q05[lo:hi], q95[lo:hi] = _pointwise_stats(block)
 
-    k_axis = np.arange(1, samples.prior.k_max + 1)
-    k1_pmf = np.array([(samples.k1 == k).mean() for k in k_axis])
-    k2_pmf = np.array([(samples.k2 == k).mean() for k in k_axis])
+    k1_pmf = np.bincount(samples.k1, minlength=samples.prior.k_max + 1)[1:] / n
+    k2_pmf = np.bincount(samples.k2, minlength=samples.prior.k_max + 1)[1:] / n
 
     return PosteriorSummary(
         time_grid=time_grid,

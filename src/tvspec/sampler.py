@@ -1,10 +1,17 @@
 """Blocked adaptive Metropolis-Hastings sampler for the tv-PSD posterior.
 
-One sweep updates, in order: the two polynomial degrees (symmetrized
-Poisson random walk), the three logit-transformed stick/atom blocks
-(Roberts-Rosenthal adaptive Gaussian random walk) and ln tau (uniform
-random walk with Robbins-Monro width tuning).  All adaptation freezes at
-the end of burn-in.
+The chain state is two tables: the polynomial degrees ``k`` ({k1, k2}) and
+the logit-transformed blocks ``z`` ({V, W1, W2}), plus ln tau.  A sweep
+runs the move table ``_Chain.moves`` in the order of ``BLOCK_NAMES``:
+a symmetrized Poisson random walk on each degree, a Roberts-Rosenthal
+adaptive Gaussian random walk on each logit block and a uniform random
+walk on ln tau with Robbins-Monro width tuning.  Every move ends in the
+one Metropolis test ``_Chain._accept``, which draws the uniform, records
+the outcome and commits the proposal on acceptance; only a degree
+proposal that is out of range or has step 0 is settled without a
+uniform.  Each block's prior term (with its Jacobian) comes from the
+table ``_Chain.prior_term``.  All adaptation freezes at the end of
+burn-in.
 
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
@@ -33,6 +40,10 @@ from .surface import (
 )
 
 BLOCK_NAMES = ("k1", "k2", "W1", "W2", "V", "tau")
+INIT_DEGREE = 20
+ADAPT_START = 200  # sweeps before the adaptive proposal covariance is used
+ADAPT_MIX_WEIGHT = 0.05  # share of small fixed-scale proposals after that
+TAU_TARGET_ACCEPT = 0.44
 
 
 class InitializationError(RuntimeError):
@@ -45,11 +56,7 @@ class SamplerConfig:
     burn_in: int = 60_000
     thin: int = 5
     k_poisson_rate: float = 1.0
-    adapt_start: int = 200
-    adapt_mix_weight: float = 0.05
     tau_width_init: float = 1.0
-    tau_target_accept: float = 0.44
-    init_degree: int = 20
     seed: int = 0
     debug_check_every: int = 0
 
@@ -156,51 +163,49 @@ class _Chain:
         self.basis_lam: dict[int, np.ndarray] = {}
 
         self._init_state()
-        self.adapt = {name: _AdaptiveBlock(dim) for name, dim in
-                      (("W1", self.L + 1), ("W2", self.L + 1), ("V", self.L))}
+        self.adapt = {name: _AdaptiveBlock(z.size) for name, z in self.z.items()}
         self.tau_log_width = log(cfg.tau_width_init)
         self._tau_batch = [0, 0, 0]  # batch index, proposals, accepts
-        self.proposals = {name: 0 for name in BLOCK_NAMES}
-        self.accepts = {name: 0 for name in BLOCK_NAMES}
-        self.post_proposals = {name: 0 for name in BLOCK_NAMES}
-        self.post_accepts = {name: 0 for name in BLOCK_NAMES}
+        # [proposals, accepts] per block, over the whole run and after burn-in.
+        self.tally = {
+            phase: {name: [0, 0] for name in BLOCK_NAMES}
+            for phase in ("overall", "post_burn_in")
+        }
         self.iteration = 0
 
     # -- state -----------------------------------------------------------
 
     def _init_state(self):
-        cfg = self.cfg
-        self.k1 = min(cfg.init_degree, self.prior_cfg.k_max)
-        self.k2 = min(cfg.init_degree, self.prior_cfg.k_max)
-        self.zV = np.zeros(self.L)  # V = 0.5
-        self.zW1 = _logit_of(self.rng.uniform(size=self.L + 1))
-        self.zW2 = _logit_of(self.rng.uniform(size=self.L + 1))
+        k0 = min(INIT_DEGREE, self.prior_cfg.k_max)
+        self.k = {"k1": k0, "k2": k0}
+        # log_posterior sums the prior terms in table order: z, then k.
+        self.z = {
+            "V": np.zeros(self.L),  # V = 0.5
+            "W1": _logit_of(self.rng.uniform(size=self.L + 1)),
+            "W2": _logit_of(self.rng.uniform(size=self.L + 1)),
+        }
+        self.p = stick_weights(_expit(self.z["V"]))
         if self.use_likelihood:
             mean_mi = float(np.mean(self.mi))
             self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
         else:
             self.log_tau = 0.0
-        self._refresh_natural()
-        self.A, self.C = self._whittle_terms(self.k1, self.k2, self.zW1, self.zW2, self.p)
+        self.A, self.C = self._whittle_terms(self.k, self.z, self.p)
         if not (np.isfinite(self.A) and np.isfinite(self.C) and np.isfinite(self.log_tau)):
             raise InitializationError("non-finite likelihood terms at initialization")
         if not np.isfinite(self.log_posterior()):
             raise InitializationError("non-finite log-posterior at initialization")
 
-    def _refresh_natural(self):
-        self.V = _expit(self.zV)
-        self.p = stick_weights(self.V)
-
-    def _whittle_terms(self, k1, k2, zW1, zW2, p):
+    def _whittle_terms(self, k: dict, z: dict, p: np.ndarray):
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b (tau factored out)."""
         if not self.use_likelihood:
             return 0.0, 0.0
         b = surface_shape(
             p,
-            atom_bins(k1, _expit(zW1)),
-            atom_bins(k2, _expit(zW2)),
-            self._basis(self.basis_u, self.u, k1),
-            self._basis(self.basis_lam, self.lam, k2),
+            atom_bins(k["k1"], _expit(z["W1"])),
+            atom_bins(k["k2"], _expit(z["W2"])),
+            self._basis(self.basis_u, self.u, k["k1"]),
+            self._basis(self.basis_lam, self.lam, k["k2"]),
         )
         return float(np.sum(np.log(b))), float(np.sum(self.mi / b))
 
@@ -224,6 +229,13 @@ class _Chain:
             return -np.inf
         return a * log(b) - lgamma(a) - a * log_tau - b * np.exp(-log_tau)
 
+    def _degree_term(self, k: int) -> float:
+        return self.log_pmf[k - 1]
+
+    def _atom_term(self, z) -> float:
+        """Uniform atoms: only the logit Jacobian."""
+        return _logit_jacobian(z)
+
     def _v_term(self, zV) -> float:
         M = self.prior_cfg.dp_mass
         V = _expit(zV)
@@ -233,116 +245,96 @@ class _Chain:
             + _logit_jacobian(zV)
         )
 
+    # Log prior term of each block of the k and z tables, with its Jacobian.
+    # Class-level tables hold plain functions, so a chain is not kept alive
+    # by a reference cycle through its own bound methods.
+    prior_term = {
+        "k1": _degree_term,
+        "k2": _degree_term,
+        "W1": _atom_term,
+        "W2": _atom_term,
+        "V": _v_term,
+    }
+
     def log_posterior(self) -> float:
-        return (
-            self._loglik(self.A, self.C, self.log_tau)
-            + self._tau_term(self.log_tau)
-            + self._v_term(self.zV)
-            + _logit_jacobian(self.zW1)
-            + _logit_jacobian(self.zW2)
-            + self.log_pmf[self.k1 - 1]
-            + self.log_pmf[self.k2 - 1]
-        )
+        total = self._loglik(self.A, self.C, self.log_tau) + self._tau_term(self.log_tau)
+        for name, value in (*self.z.items(), *self.k.items()):
+            total += self.prior_term[name](self, value)
+        return total
 
     # -- moves -------------------------------------------------------------
 
     def _record(self, name: str, accepted: bool):
-        self.proposals[name] += 1
-        self.accepts[name] += accepted
-        if self.iteration > self.cfg.burn_in:
-            self.post_proposals[name] += 1
-            self.post_accepts[name] += accepted
+        for phase, counts in self.tally.items():
+            if phase == "overall" or self.iteration > self.cfg.burn_in:
+                counts[name][0] += 1
+                counts[name][1] += accepted
 
-    def step_degree(self, which: str):
-        k_old = self.k1 if which == "k1" else self.k2
-        step = int(self.rng.poisson(self.cfg.k_poisson_rate))
-        sign = 1 if self.rng.uniform() < 0.5 else -1
-        k_new = k_old + sign * step
-        if k_new < 1 or k_new > self.prior_cfg.k_max:
-            self._record(which, False)
-            return
-        if k_new == k_old:
-            self._record(which, True)
-            return
-        if which == "k1":
-            A_new, C_new = self._whittle_terms(k_new, self.k2, self.zW1, self.zW2, self.p)
-        else:
-            A_new, C_new = self._whittle_terms(self.k1, k_new, self.zW1, self.zW2, self.p)
-        delta = (
-            self._loglik(A_new, C_new, self.log_tau)
-            - self._loglik(self.A, self.C, self.log_tau)
-            + self.log_pmf[k_new - 1]
-            - self.log_pmf[k_old - 1]
-        )
+    def _accept(self, name: str, delta: float, **proposal) -> bool:
+        """Metropolis test of the log ratio ``delta``; on accept, set ``proposal``.
+
+        The uniform is drawn even when ``delta`` is -inf, so a proposal with
+        prior density 0 is rejected without shifting the random stream.
+        """
         accepted = log(self.rng.uniform()) < delta
+        self._record(name, accepted)
         if accepted:
-            if which == "k1":
-                self.k1 = k_new
-            else:
-                self.k2 = k_new
-            self.A, self.C = A_new, C_new
-        self._record(which, accepted)
+            vars(self).update(proposal)
+        return accepted
+
+    def _surface_move(self, name: str, new, old, k: dict, z: dict, p: np.ndarray):
+        """Propose block ``name`` from ``old`` to ``new``; (k, z, p) hold the proposal."""
+        A, C = self._whittle_terms(k, z, p)
+        term = self.prior_term[name]
+        delta = (
+            self._loglik(A, C, self.log_tau)
+            - self._loglik(self.A, self.C, self.log_tau)
+            + term(self, new)
+            - term(self, old)
+        )
+        self._accept(name, delta, k=k, z=z, p=p, A=A, C=C)
+
+    def step_degree(self, name: str):
+        k_old = self.k[name]
+        step = int(self.rng.poisson(self.cfg.k_poisson_rate))
+        k_new = k_old + (step if self.rng.uniform() < 0.5 else -step)
+        if k_new == k_old or not 1 <= k_new <= self.prior_cfg.k_max:
+            # Decided without a uniform: an out-of-range degree is rejected,
+            # and a null move (step 0) is counted as accepted.
+            self._record(name, k_new == k_old)
+            return
+        self._surface_move(name, k_new, k_old, {**self.k, name: k_new}, self.z, self.p)
 
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
         safe = (
-            self.iteration <= self.cfg.adapt_start
+            self.iteration <= ADAPT_START
             or blk.chol is None
-            or self.rng.uniform() < self.cfg.adapt_mix_weight
+            or self.rng.uniform() < ADAPT_MIX_WEIGHT
         )
         noise = self.rng.standard_normal(dim)
         if safe:
             return (0.01 / sqrt(dim)) * noise
         return (2.38 / sqrt(dim)) * (blk.chol @ noise)
 
-    def step_block(self, name: str):
-        if name == "V":
-            z_old = self.zV
-        elif name == "W1":
-            z_old = self.zW1
-        else:
-            z_old = self.zW2
+    def step_logits(self, name: str):
+        z_old = self.z[name]
         z_new = z_old + self._propose_increment(name, z_old.size)
-
+        p = self.p
         if name == "V":
-            V_new = _expit(z_new)
-            if np.any(V_new <= 0.0) or np.any(V_new >= 1.0):
-                # A stick rounded to 0 or 1 has prior density 0: reject, and
-                # draw the accept uniform anyway to keep the stream aligned.
-                self.rng.uniform()
-                self._record(name, False)
+            V = _expit(z_new)
+            if np.any(V <= 0.0) or np.any(V >= 1.0):
+                # A stick rounded to 0 or 1 has prior density 0.
+                self._accept(name, -np.inf)
                 return
-            p_new = stick_weights(V_new)
-            A_new, C_new = self._whittle_terms(self.k1, self.k2, self.zW1, self.zW2, p_new)
-            delta_prior = self._v_term(z_new) - self._v_term(z_old)
-        elif name == "W1":
-            A_new, C_new = self._whittle_terms(self.k1, self.k2, z_new, self.zW2, self.p)
-            delta_prior = _logit_jacobian(z_new) - _logit_jacobian(z_old)
-        else:
-            A_new, C_new = self._whittle_terms(self.k1, self.k2, self.zW1, z_new, self.p)
-            delta_prior = _logit_jacobian(z_new) - _logit_jacobian(z_old)
+            p = stick_weights(V)
+        self._surface_move(name, z_new, z_old, self.k, {**self.z, name: z_new}, p)
 
-        delta = (
-            self._loglik(A_new, C_new, self.log_tau)
-            - self._loglik(self.A, self.C, self.log_tau)
-            + delta_prior
-        )
-        accepted = log(self.rng.uniform()) < delta
-        if accepted:
-            if name == "V":
-                self.zV = z_new
-                self._refresh_natural()
-            elif name == "W1":
-                self.zW1 = z_new
-            else:
-                self.zW2 = z_new
-            self.A, self.C = A_new, C_new
-        self._record(name, accepted)
-
-    def step_tau(self):
+    def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
         lt_new = self.log_tau + (self.rng.uniform() - 0.5) * width
         prior_new = self._tau_term(lt_new)
+        delta = -np.inf
         if np.isfinite(prior_new):
             delta = (
                 self._loglik(self.A, self.C, lt_new)
@@ -350,13 +342,7 @@ class _Chain:
                 + prior_new
                 - self._tau_term(self.log_tau)
             )
-            accepted = log(self.rng.uniform()) < delta
-        else:
-            self.rng.uniform()  # keep the stream aligned with the accept draw
-            accepted = False
-        if accepted:
-            self.log_tau = lt_new
-        self._record("tau", accepted)
+        accepted = self._accept(name, delta, log_tau=lt_new)
 
         # Robbins-Monro width tuning in batches of 50, burn-in only.
         if self.iteration <= self.cfg.burn_in:
@@ -366,25 +352,30 @@ class _Chain:
                 self._tau_batch[0] += 1
                 rate = self._tau_batch[2] / 50.0
                 gain = min(0.25, 1.0 / sqrt(self._tau_batch[0]))
-                self.tau_log_width += gain if rate > self.cfg.tau_target_accept else -gain
+                self.tau_log_width += gain if rate > TAU_TARGET_ACCEPT else -gain
                 self._tau_batch[1] = 0
                 self._tau_batch[2] = 0
 
+    # The move of each block; sweep() runs them in the order of BLOCK_NAMES.
+    moves = {
+        "k1": step_degree,
+        "k2": step_degree,
+        "W1": step_logits,
+        "W2": step_logits,
+        "V": step_logits,
+        "tau": step_tau,
+    }
+
     def sweep(self):
         self.iteration += 1
-        self.step_degree("k1")
-        self.step_degree("k2")
-        self.step_block("W1")
-        self.step_block("W2")
-        self.step_block("V")
-        self.step_tau()
+        for name in BLOCK_NAMES:
+            self.moves[name](self, name)
         if self.iteration <= self.cfg.burn_in:
-            self.adapt["W1"].update(self.zW1)
-            self.adapt["W2"].update(self.zW2)
-            self.adapt["V"].update(self.zV)
+            for name, blk in self.adapt.items():
+                blk.update(self.z[name])
 
     def check_cache_drift(self):
-        A, C = self._whittle_terms(self.k1, self.k2, self.zW1, self.zW2, self.p)
+        A, C = self._whittle_terms(self.k, self.z, self.p)
         drift = max(abs(A - self.A), abs(C - self.C))
         if drift > 1e-8 * max(1.0, abs(self.A), abs(self.C)):
             raise AssertionError(f"cached likelihood terms drifted by {drift}")
@@ -415,19 +406,15 @@ def run_chain(
     chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg, rng, use_likelihood)
 
     n_keep = (sampler_cfg.n_iter - sampler_cfg.burn_in) // sampler_cfg.thin
-    L = chain.L
     out = PosteriorSampleSet(
-        k1=np.empty(n_keep, dtype=np.int64),
-        k2=np.empty(n_keep, dtype=np.int64),
+        **{name: np.empty(n_keep, dtype=np.int64) for name in chain.k},
+        **{name: np.empty((n_keep, z.size)) for name, z in chain.z.items()},
         log_tau=np.empty(n_keep),
-        V=np.empty((n_keep, L)),
-        W1=np.empty((n_keep, L + 1)),
-        W2=np.empty((n_keep, L + 1)),
         log_post=np.empty(n_keep),
         m=grid.m,
         T=grid.T,
         thinning=grid.thinning,
-        L=L,
+        L=chain.L,
         prior=prior_cfg,
         sampler=sampler_cfg,
     )
@@ -438,29 +425,21 @@ def run_chain(
         if sampler_cfg.debug_check_every and it % sampler_cfg.debug_check_every == 0:
             chain.check_cache_drift()
         if it > sampler_cfg.burn_in and (it - sampler_cfg.burn_in) % sampler_cfg.thin == 0:
-            if kept < n_keep:
-                out.k1[kept] = chain.k1
-                out.k2[kept] = chain.k2
-                out.log_tau[kept] = chain.log_tau
-                out.V[kept] = _expit(chain.zV)
-                out.W1[kept] = _expit(chain.zW1)
-                out.W2[kept] = _expit(chain.zW2)
-                out.log_post[kept] = chain.log_posterior()
-                kept += 1
+            for name, k in chain.k.items():
+                getattr(out, name)[kept] = k
+            for name, z in chain.z.items():
+                getattr(out, name)[kept] = _expit(z)
+            out.log_tau[kept] = chain.log_tau
+            out.log_post[kept] = chain.log_posterior()
+            kept += 1
         if progress is not None and it % 1000 == 0:
-            progress(it, chain.log_posterior(), _rates(chain.proposals, chain.accepts))
+            progress(it, chain.log_posterior(), _rates(chain.tally["overall"]))
 
-    out.acceptance = {
-        "overall": _rates(chain.proposals, chain.accepts),
-        "post_burn_in": _rates(chain.post_proposals, chain.post_accepts),
-    }
+    out.acceptance = {phase: _rates(counts) for phase, counts in chain.tally.items()}
     out.runtime_seconds = time.perf_counter() - start
     out.tau_width_final = float(np.exp(chain.tau_log_width))
     return out
 
 
-def _rates(proposals: dict, accepts: dict) -> dict:
-    return {
-        name: (accepts[name] / proposals[name]) if proposals[name] else float("nan")
-        for name in BLOCK_NAMES
-    }
+def _rates(counts: dict) -> dict:
+    return {name: (a / n) if n else float("nan") for name, (n, a) in counts.items()}

@@ -10,6 +10,7 @@ infinity, so evaluation never needs log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -29,9 +30,6 @@ class BetaBasisConfig:
 
 DEFAULT_BASIS = BetaBasisConfig()
 
-# Normalizing constants of the truncated basis, keyed by (a, b, xi_l, xi_r).
-_NORM_CACHE: dict[tuple, float] = {}
-
 
 def _beta_pdf(y, a, b):
     """Standard beta density; broadcasts over all arguments."""
@@ -49,14 +47,11 @@ def _beta_pdf(y, a, b):
     return np.exp(ln)
 
 
+@cache
 def _norm_const(a: int, b: int, cfg: BetaBasisConfig) -> float:
-    key = (a, b, cfg.xi_left, cfg.xi_right)
-    c = _NORM_CACHE.get(key)
-    if c is None:
-        mass = betainc(a, b, cfg.xi_right) - betainc(a, b, cfg.xi_left)
-        c = (cfg.xi_right - cfg.xi_left) / mass
-        _NORM_CACHE[key] = c
-    return c
+    """Normalizing constant of the truncated basis function with shapes (a, b)."""
+    mass = betainc(a, b, cfg.xi_right) - betainc(a, b, cfg.xi_left)
+    return (cfg.xi_right - cfg.xi_left) / mass
 
 
 def truncated_beta_density(x, a: int, b: int, cfg: BetaBasisConfig = DEFAULT_BASIS):

@@ -97,6 +97,7 @@ class TestSummarize:
         assert np.all(out.median <= out.q95 + 1e-12)
         assert out.k1_pmf.sum() == pytest.approx(1.0)
         assert out.k1_pmf.size == 100
+        assert np.array_equal(out.k1_pmf, [(s.k1 == k).mean() for k in range(1, 101)])
 
     def test_empty_samples_rejected(self):
         s = make_samples(np.empty(0, dtype=int), np.empty(0))

@@ -1,15 +1,25 @@
 """Tests for the blocked adaptive Metropolis-Hastings sampler."""
 
 import copy
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tvspec.likelihood import build_grid
 from tvspec.periodogram import WindowConfig, moving_periodograms
 from tvspec.prior import PriorConfig, degree_pmf
-from tvspec.sampler import PosteriorSampleSet, SamplerConfig, _Chain, run_chain
+from tvspec.sampler import (
+    ADAPT_START,
+    BLOCK_NAMES,
+    PosteriorSampleSet,
+    SamplerConfig,
+    _Chain,
+    run_chain,
+)
 from tvspec.signal import DgpSpec, InnovationSpec, TimeSeries, simulate_dgp
 
 
@@ -83,18 +93,46 @@ class TestBookkeeping:
         run_chain(pg, grid, PriorConfig(), cfg)  # raises on drift > 1e-8
 
 
+class TestCacheGuard:
+    @staticmethod
+    @cache
+    def inputs():
+        return make_inputs()
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_cached_terms_match_recomputation_after_every_move(self, seed):
+        pg, grid = self.inputs()
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=seed),
+                       np.random.default_rng(seed), use_likelihood=True)
+        checks = dict.fromkeys(BLOCK_NAMES, 0)
+
+        def checked(move):
+            def run(chain, name):
+                move(chain, name)
+                chain.check_cache_drift()  # raises on drift > 1e-8
+                checks[name] += 1
+            return run
+
+        chain.moves = {name: checked(move) for name, move in chain.moves.items()}
+        sweeps = ADAPT_START + 100  # past ADAPT_START, so adaptive proposals run too
+        for _ in range(sweeps):
+            chain.sweep()
+        assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
+
+
 class TestStickMoves:
     def test_stick_rounding_to_one_is_rejected(self):
         pg, grid = make_inputs()
         chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16),
                        np.random.default_rng(16), use_likelihood=True)
         chain._propose_increment = lambda name, dim: np.full(dim, 40.0)
-        zV, A, C = chain.zV.copy(), chain.A, chain.C
+        zV, A, C = chain.z["V"].copy(), chain.A, chain.C
         expected_rng = copy.deepcopy(chain.rng)
         expected_rng.uniform()
-        chain.step_block("V")  # expit(0 + 40) rounds to 1.0
-        assert (chain.proposals["V"], chain.accepts["V"]) == (1, 0)
-        assert np.array_equal(chain.zV, zV) and (chain.A, chain.C) == (A, C)
+        chain.moves["V"](chain, "V")  # expit(0 + 40) rounds to 1.0
+        assert tuple(chain.tally["overall"]["V"]) == (1, 0)
+        assert np.array_equal(chain.z["V"], zV) and (chain.A, chain.C) == (A, C)
         assert chain.rng.bit_generator.state == expected_rng.bit_generator.state
         chain.check_cache_drift()
 
