@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from math import lgamma, log, sqrt
 
 import numpy as np
+from scipy.special import expit, logit
 
 from .likelihood import LikelihoodGrid
 from .periodogram import MovingPeriodogramSet
@@ -102,15 +103,6 @@ class PosteriorSampleSet:
         )
 
 
-def _expit(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _logit_jacobian(z) -> float:
     """Sum over coordinates of ln sigma(z) + ln(1 - sigma(z))."""
     return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
@@ -181,10 +173,10 @@ class _Chain:
         # log_posterior sums the prior terms in table order: z, then k.
         self.z = {
             "V": np.zeros(self.L),  # V = 0.5
-            "W1": _logit_of(self.rng.uniform(size=self.L + 1)),
-            "W2": _logit_of(self.rng.uniform(size=self.L + 1)),
+            "W1": logit(self.rng.uniform(size=self.L + 1)),
+            "W2": logit(self.rng.uniform(size=self.L + 1)),
         }
-        self.p = stick_weights(_expit(self.z["V"]))
+        self.p = stick_weights(expit(self.z["V"]))
         if self.use_likelihood:
             mean_mi = float(np.mean(self.mi))
             self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
@@ -202,8 +194,8 @@ class _Chain:
             return 0.0, 0.0
         b = surface_shape(
             p,
-            atom_bins(k["k1"], _expit(z["W1"])),
-            atom_bins(k["k2"], _expit(z["W2"])),
+            atom_bins(k["k1"], expit(z["W1"])),
+            atom_bins(k["k2"], expit(z["W2"])),
             self._basis(self.basis_u, self.u, k["k1"]),
             self._basis(self.basis_lam, self.lam, k["k2"]),
         )
@@ -238,7 +230,7 @@ class _Chain:
 
     def _v_term(self, zV) -> float:
         M = self.prior_cfg.dp_mass
-        V = _expit(zV)
+        V = expit(zV)
         return (
             self.L * log(M)
             + (M - 1.0) * float(np.sum(np.log1p(-V)))
@@ -322,7 +314,7 @@ class _Chain:
         z_new = z_old + self._propose_increment(name, z_old.size)
         p = self.p
         if name == "V":
-            V = _expit(z_new)
+            V = expit(z_new)
             if np.any(V <= 0.0) or np.any(V >= 1.0):
                 # A stick rounded to 0 or 1 has prior density 0.
                 self._accept(name, -np.inf)
@@ -381,10 +373,6 @@ class _Chain:
             raise AssertionError(f"cached likelihood terms drifted by {drift}")
 
 
-def _logit_of(w: np.ndarray) -> np.ndarray:
-    return np.log(w) - np.log1p(-w)
-
-
 def run_chain(
     periodograms: MovingPeriodogramSet,
     grid: LikelihoodGrid,
@@ -428,7 +416,7 @@ def run_chain(
             for name, k in chain.k.items():
                 getattr(out, name)[kept] = k
             for name, z in chain.z.items():
-                getattr(out, name)[kept] = _expit(z)
+                getattr(out, name)[kept] = expit(z)
             out.log_tau[kept] = chain.log_tau
             out.log_post[kept] = chain.log_posterior()
             kept += 1
