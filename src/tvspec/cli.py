@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -112,12 +113,17 @@ def _run_config(args, seed: int) -> dict:
 
 
 def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
+    # Stage timings for metadata.json: periodogram, grid, chain, summarize
+    # and write (surface.csv and draws.npz, not metadata.json itself).
+    marks = [time.perf_counter()]
     series = TimeSeries(values)
     try:
         pg = moving_periodograms(series, WindowConfig(m=args.m))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    marks.append(time.perf_counter())
     grid = build_grid(pg.T, args.m, args.thinning)
+    marks.append(time.perf_counter())
     prior_cfg = PriorConfig(
         k_max=args.kmax,
         basis=BetaBasisConfig(xi_left=args.xi_l, xi_right=args.xi_r),
@@ -130,9 +136,11 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
         seed=seed,
     )
     samples = run_chain(pg, grid, prior_cfg, sampler_cfg)
+    marks.append(time.perf_counter())
     time_grid = np.linspace(0.0, 1.0, args.time_grid)
     freq_grid = np.linspace(0.0, 1.0, args.freq_grid)
     summary = summarize(samples, time_grid, freq_grid, len(series), args.m)
+    marks.append(time.perf_counter())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     uu, ll = np.meshgrid(time_grid, freq_grid, indexing="ij")
@@ -145,6 +153,18 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
         header="u,lambda,mean,median,q05,q95",
         comments="",
     )
+    if args.save_draws:
+        np.savez_compressed(
+            out_dir / "draws.npz",
+            k1=samples.k1,
+            k2=samples.k2,
+            log_tau=samples.log_tau,
+            V=samples.V,
+            W1=samples.W1,
+            W2=samples.W2,
+            log_post=samples.log_post,
+        )
+    marks.append(time.perf_counter())
 
     metadata = {
         "config": _run_config(args, seed),
@@ -153,7 +173,10 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
         "k1_pmf": summary.k1_pmf.tolist(),
         "k2_pmf": summary.k2_pmf.tolist(),
         "acceptance": samples.acceptance,
+        "acceptance_non_null": samples.acceptance_non_null,
         "runtime_seconds": samples.runtime_seconds,
+        "timings_s": dict(zip(("periodogram", "grid", "chain", "summarize", "write"),
+                              np.diff(marks).tolist())),
         "tau_width_final": samples.tau_width_final,
         "log_posterior": {
             "first": float(samples.log_post[0]),
@@ -167,17 +190,6 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if args.save_draws:
-        np.savez_compressed(
-            out_dir / "draws.npz",
-            k1=samples.k1,
-            k2=samples.k2,
-            log_tau=samples.log_tau,
-            V=samples.V,
-            W1=samples.W1,
-            W2=samples.W2,
-            log_post=samples.log_post,
-        )
     return metadata
 
 

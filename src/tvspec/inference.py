@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -10,7 +10,10 @@ import numpy as np
 from .likelihood import EvaluationError
 from .prior import PriorConfig, prior_prob_k1_equals_1
 from .sampler import PosteriorSampleSet
-from .surface import atom_bins, basis_matrix, stick_weights, surface_shape
+from .surface import atom_bins, basis_matrix, bin_masses, stick_weights
+
+# Floats in one summarize block (draws x time chunk x frequencies), about 8 MB.
+BLOCK_FLOATS = 1_000_000
 
 
 @dataclass
@@ -32,7 +35,6 @@ class PosteriorSummary:
     k1_pmf: np.ndarray
     k2_pmf: np.ndarray
     bayes_factor_01: float
-    metadata: dict = field(default_factory=dict)
 
 
 def map_to_internal_time(v, original_n: int, m: int) -> np.ndarray:
@@ -48,21 +50,20 @@ def map_to_internal_time(v, original_n: int, m: int) -> np.ndarray:
     return np.clip((np.asarray(v, dtype=float) * original_n - m) / t_eff, 0.0, 1.0)
 
 
-def _draw_surfaces(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray):
-    """Yield each draw's surface on the tensor grid u x lam, draw by draw."""
-    basis_cfg = samples.prior.basis
-    bu_by_k = {int(k): basis_matrix(u, int(k), basis_cfg)[:, :, None] for k in np.unique(samples.k1)}
-    bl_by_k = {int(k): basis_matrix(lam, int(k), basis_cfg)[:, None, :] for k in np.unique(samples.k2)}
-    tau = np.exp(samples.log_tau)
-    for i in range(len(samples)):
-        k1, k2 = int(samples.k1[i]), int(samples.k2[i])
-        yield tau[i] * surface_shape(
-            stick_weights(samples.V[i]),
-            atom_bins(k1, samples.W1[i]),
-            atom_bins(k2, samples.W2[i]),
-            bu_by_k[k1],
-            bl_by_k[k2],
-        )
+def _draw_groups(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray) -> list:
+    """(B_u, B_lam, w) per distinct (k1, k2): basis tables on u and lam, and the
+    (g, k1, k2) tau-scaled bin masses of the g draws at those degrees."""
+    cfg = samples.prior.basis
+    B_u = {k: basis_matrix(u, k, cfg) for k in np.unique(samples.k1).tolist()}
+    B_lam = {k: basis_matrix(lam, k, cfg) for k in np.unique(samples.k2).tolist()}
+    p = np.exp(samples.log_tau)[:, None] * np.array([stick_weights(v) for v in samples.V])
+    keys, group = np.unique(np.column_stack((samples.k1, samples.k2)), axis=0, return_inverse=True)
+    groups = []
+    for g, (k1, k2) in enumerate(keys.tolist()):
+        rows = group.ravel() == g
+        bins1, bins2 = atom_bins(k1, samples.W1[rows]), atom_bins(k2, samples.W2[rows])
+        groups.append((B_u[k1], B_lam[k2], bin_masses(p[rows], bins1, bins2, k1, k2)))
+    return groups
 
 
 def _pointwise_stats(block: np.ndarray):
@@ -93,20 +94,22 @@ def summarize(
     nt, nf = u.size, freq_grid.size
     n = len(samples)
 
-    mean = np.empty((nt, nf))
-    median = np.empty((nt, nf))
-    q05 = np.empty((nt, nf))
-    q95 = np.empty((nt, nf))
-
-    # Chunk the time axis so the (draws x chunk x freq) block stays small.
-    # Each chunk rebuilds its bases, which costs little next to the draws.
-    chunk = max(1, int(4e7 // max(1, n * nf)))
+    # The statistics do not depend on draw order, so the block holds the
+    # draws group by group, each group's surfaces B_u.T @ w @ B_lam written
+    # in place (out=) per time chunk.  The chunk keeps the block near
+    # BLOCK_FLOATS floats.
+    groups = _draw_groups(samples, u, freq_grid)
+    stats = np.empty((4, nt, nf))  # mean, median, q05, q95
+    chunk = max(1, BLOCK_FLOATS // (n * nf))
     for lo in range(0, nt, chunk):
         hi = min(nt, lo + chunk)
         block = np.empty((n, hi - lo, nf))
-        for i, surface in enumerate(_draw_surfaces(samples, u[lo:hi], freq_grid)):
-            block[i] = surface
-        mean[lo:hi], median[lo:hi], q05[lo:hi], q95[lo:hi] = _pointwise_stats(block)
+        start = 0
+        for B_u, B_lam, w in groups:
+            np.matmul(B_u[:, lo:hi].T @ w, B_lam, out=block[start : start + len(w)])
+            start += len(w)
+        stats[:, lo:hi] = _pointwise_stats(block)
+    mean, median, q05, q95 = stats
 
     k1_pmf = np.bincount(samples.k1, minlength=samples.prior.k_max + 1)[1:] / n
     k2_pmf = np.bincount(samples.k2, minlength=samples.prior.k_max + 1)[1:] / n
@@ -122,14 +125,6 @@ def summarize(
         k1_pmf=k1_pmf,
         k2_pmf=k2_pmf,
         bayes_factor_01=savage_dickey_bf(samples, samples.prior),
-        metadata={
-            "n_draws": n,
-            "original_n": original_n,
-            "m": m,
-            "quantile_method": "nearest-rank",
-            "acceptance": samples.acceptance,
-            "runtime_seconds": samples.runtime_seconds,
-        },
     )
 
 
@@ -140,14 +135,15 @@ def posterior_mean_surface(
     original_n: int,
     m: int,
 ) -> np.ndarray:
-    """Streaming posterior mean surface; cheaper than summarize on big grids."""
+    """Posterior mean surface; the surface is linear in the bin masses, so
+    each (k1, k2) group of draws costs one contraction of its summed masses."""
     if len(samples) == 0:
         raise ValueError("empty posterior sample set")
     freq_grid = np.asarray(freq_grid, dtype=float)
     u = map_to_internal_time(time_grid, original_n, m)
     acc = np.zeros((u.size, freq_grid.size))
-    for surface in _draw_surfaces(samples, u, freq_grid):
-        acc += surface
+    for B_u, B_lam, w in _draw_groups(samples, u, freq_grid):
+        acc += B_u.T @ w.sum(axis=0) @ B_lam
     return acc / len(samples)
 
 

@@ -86,6 +86,7 @@ class PosteriorSampleSet:
     prior: PriorConfig
     sampler: SamplerConfig
     acceptance: dict = field(default_factory=dict)
+    acceptance_non_null: dict = field(default_factory=dict)  # k1 and k2 only
     runtime_seconds: float = 0.0
     tau_width_final: float = 0.0
 
@@ -163,6 +164,8 @@ class _Chain:
             phase: {name: [0, 0] for name in BLOCK_NAMES}
             for phase in ("overall", "post_burn_in")
         }
+        # Null (step-0) degree moves per phase; ``tally`` counts them as accepted.
+        self.null_moves = {phase: dict.fromkeys(self.k, 0) for phase in self.tally}
         self.iteration = 0
 
     # -- state -----------------------------------------------------------
@@ -256,11 +259,13 @@ class _Chain:
 
     # -- moves -------------------------------------------------------------
 
-    def _record(self, name: str, accepted: bool):
+    def _record(self, name: str, accepted: bool, null: bool = False):
         for phase, counts in self.tally.items():
             if phase == "overall" or self.iteration > self.cfg.burn_in:
                 counts[name][0] += 1
                 counts[name][1] += accepted
+                if null:
+                    self.null_moves[phase][name] += 1
 
     def _accept(self, name: str, delta: float, **proposal) -> bool:
         """Metropolis test of the log ratio ``delta``; on accept, set ``proposal``.
@@ -293,7 +298,8 @@ class _Chain:
         if k_new == k_old or not 1 <= k_new <= self.prior_cfg.k_max:
             # Decided without a uniform: an out-of-range degree is rejected,
             # and a null move (step 0) is counted as accepted.
-            self._record(name, k_new == k_old)
+            null = k_new == k_old
+            self._record(name, null, null)
             return
         self._surface_move(name, k_new, k_old, {**self.k, name: k_new}, self.z, self.p)
 
@@ -424,6 +430,11 @@ def run_chain(
             progress(it, chain.log_posterior(), _rates(chain.tally["overall"]))
 
     out.acceptance = {phase: _rates(counts) for phase, counts in chain.tally.items()}
+    for phase, nulls in chain.null_moves.items():
+        tally = chain.tally[phase]
+        out.acceptance_non_null[phase] = _rates(
+            {name: (tally[name][0] - z, tally[name][1] - z) for name, z in nulls.items()}
+        )
     out.runtime_seconds = time.perf_counter() - start
     out.tau_width_final = float(np.exp(chain.tau_log_width))
     return out

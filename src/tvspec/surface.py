@@ -145,26 +145,32 @@ class SurfaceParams:
             raise ValueError("degrees must be >= 1")
 
 
-def weights_from_measure(k1: int, k2: int, measure: StickBreakingMeasure) -> np.ndarray:
-    """Bin masses of the measure on the k1 x k2 dyadic-style grid."""
-    p = measure.weights()
-    j1 = atom_bins(k1, measure.W1) - 1
-    j2 = atom_bins(k2, measure.W2) - 1
-    w = np.zeros((k1, k2))
-    np.add.at(w, (j1, j2), p)
+def bin_masses(p, bins1, bins2, k1: int, k2: int) -> np.ndarray:
+    """(n, k1, k2) bin masses w of n measures; row i of ``p``, ``bins1`` and
+    ``bins2`` holds the atom weights and 1-based atom bins of measure i.
+
+    On a tensor grid, measure i's surface divided by tau is the random
+    Bernstein polynomial B_u.T @ w[i] @ B_lam, with (k1, nu) and (k2, nlam)
+    basis tables: no per-atom product is needed.
+    """
+    w = np.zeros((len(p), k1, k2))
+    np.add.at(w, (np.arange(len(p))[:, None], bins1 - 1, bins2 - 1), p)
     return w
 
 
+def weights_from_measure(k1: int, k2: int, measure: StickBreakingMeasure) -> np.ndarray:
+    """Bin masses of the measure on the k1 x k2 dyadic-style grid."""
+    p, b1, b2 = measure.weights(), atom_bins(k1, measure.W1), atom_bins(k2, measure.W2)
+    return bin_masses(p[None], b1[None], b2[None], k1, k2)[0]
+
+
 def surface_shape(p, bins1, bins2, B_u, B_lam) -> np.ndarray:
-    """Surface divided by tau: sum_l p_l B_u[bins1_l] * B_lam[bins2_l].
+    """Surface divided by tau at E points: sum_l p_l B_u[bins1_l] * B_lam[bins2_l].
 
     ``bins1`` and ``bins2`` are the 1-based atom bins from ``atom_bins``;
-    the basis tables have one row per degree index.  Their point axes
-    broadcast: entry-aligned (k, E) tables give E pointwise values, and
-    ``B_u[:, :, None]`` with ``B_lam[:, None, :]`` give the tensor grid.
+    the entry-aligned (k, E) basis tables have one row per degree index.
     """
-    prod = B_u[bins1 - 1] * B_lam[bins2 - 1]
-    return (p @ prod.reshape(p.size, -1)).reshape(prod.shape[1:])
+    return p @ (B_u[bins1 - 1] * B_lam[bins2 - 1])
 
 
 def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:

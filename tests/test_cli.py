@@ -104,6 +104,12 @@ class TestEstimate:
         assert np.isfinite(meta["bayes_factor_01"])
         assert np.isfinite(meta["log_posterior"]["mean"])
         assert set(meta["acceptance"]) == {"overall", "post_burn_in"}
+        assert set(meta["acceptance_non_null"]) == {"overall", "post_burn_in"}
+        assert set(meta["acceptance_non_null"]["overall"]) == {"k1", "k2"}
+        timings = meta["timings_s"]
+        assert set(timings) == {"periodogram", "grid", "chain", "summarize", "write"}
+        assert all(t >= 0.0 for t in timings.values())
+        assert timings["chain"] >= meta["runtime_seconds"]  # the stage wraps run_chain
         draws = np.load(out / "draws.npz")
         assert draws["k1"].shape == (1000,)
         surface = (out / "surface.csv").read_text().splitlines()

@@ -1,11 +1,15 @@
 """Tests for posterior summaries, Bayes factor and ASE."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvspec import inference
 from tvspec.inference import (
+    BLOCK_FLOATS,
     _pointwise_stats,
     ase,
     map_to_internal_time,
@@ -16,6 +20,7 @@ from tvspec.inference import (
 from tvspec.likelihood import EvaluationError
 from tvspec.prior import PriorConfig, prior_prob_k1_equals_1
 from tvspec.sampler import PosteriorSampleSet, SamplerConfig
+from tvspec.surface import evaluate_surface
 
 
 def make_samples(k1, log_tau, L=4, seed=71, k2=None):
@@ -112,6 +117,65 @@ class TestSummarize:
         out = summarize(s, tg, fg, 300, 20)
         mean = posterior_mean_surface(s, tg, fg, 300, 20)
         assert np.allclose(mean, out.mean, rtol=1e-12, atol=1e-12)
+
+
+def per_draw_stats(samples, time_grid, freq_grid):
+    """Reference summary: every draw through evaluate_surface, then numpy statistics."""
+    uu, ll = np.meshgrid(map_to_internal_time(time_grid, 300, 20), freq_grid, indexing="ij")
+    draws = np.array(
+        [evaluate_surface(samples.surface_params(i), uu, ll) for i in range(len(samples))]
+    )
+    return (
+        draws.mean(axis=0),
+        np.median(draws, axis=0),
+        np.quantile(draws, 0.05, axis=0, method="inverted_cdf"),
+        np.quantile(draws, 0.95, axis=0, method="inverted_cdf"),
+    )
+
+
+def assert_summary_matches_reference(samples, time_grid, freq_grid):
+    out = summarize(samples, time_grid, freq_grid, 300, 20)
+    got = (out.mean, out.median, out.q05, out.q95)
+    for g, want in zip(got, per_draw_stats(samples, time_grid, freq_grid)):
+        np.testing.assert_allclose(g, want, rtol=1e-13, atol=0)
+    mean = posterior_mean_surface(samples, time_grid, freq_grid, 300, 20)
+    np.testing.assert_allclose(mean, out.mean, rtol=1e-13, atol=0)
+
+
+class TestSummarizeAgainstPerDrawSurfaces:
+    """summarize stacks draws by degrees and chunks the time axis; the
+    statistics must not depend on either."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degrees=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1,
+                         max_size=4),
+        n=st.integers(1, 60),
+        nt=st.integers(1, 9),
+        nf=st.integers(1, 9),
+        block_floats=st.sampled_from([1, 10, 100, BLOCK_FLOATS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(degrees=[(3, 4)], n=1, nt=5, nf=4, block_floats=BLOCK_FLOATS, seed=0)
+    @example(degrees=[(2, 5), (6, 3), (2, 3)], n=9, nt=4, nf=3, block_floats=1, seed=1)
+    def test_matches_numpy_on_each_draw(self, degrees, n, nt, nf, block_floats, seed):
+        # Draws pick their degree pair at random, so the groups interleave.
+        rng = np.random.default_rng(seed)
+        k1, k2 = np.array(degrees)[rng.integers(0, len(degrees), size=n)].T
+        samples = make_samples(k1, rng.normal(size=n), seed=seed, k2=k2)
+        with mock.patch.object(inference, "BLOCK_FLOATS", block_floats):
+            assert_summary_matches_reference(
+                samples, np.linspace(0, 1, nt), np.sort(rng.uniform(size=nf))
+            )
+
+    def test_one_time_row_wider_than_the_block(self):
+        # 1000 draws x 1001 frequencies exceed BLOCK_FLOATS: one time row per chunk.
+        rng = np.random.default_rng(81)
+        n, nf = 1000, 1001
+        assert n * nf > BLOCK_FLOATS
+        k1, k2 = rng.integers(1, 6, size=(2, n))
+        samples = make_samples(k1, rng.normal(size=n), seed=82, k2=k2)
+        assert_summary_matches_reference(samples, [0.2, 0.7], np.linspace(0, 1, nf))
 
 
 class TestPointwiseStats:

@@ -144,6 +144,12 @@ class TestDegreeMoves:
         s = run_chain(pg, grid, prior, SamplerConfig(n_iter=500, burn_in=100, seed=8))
         assert np.all(s.k1 == 1)
         assert np.all(s.k2 == 1)
+        # Every non-null step leaves the range; only null moves (step 0,
+        # probability e^-1) are accepted.
+        for phase in ("overall", "post_burn_in"):
+            for name in ("k1", "k2"):
+                assert s.acceptance_non_null[phase][name] == 0.0
+                assert s.acceptance[phase][name] == pytest.approx(np.exp(-1.0), abs=0.1)
 
     def test_identity_moves_always_accepted(self):
         pg, grid = make_inputs()
@@ -151,6 +157,9 @@ class TestDegreeMoves:
         s = run_chain(pg, grid, PriorConfig(), cfg)
         assert s.acceptance["overall"]["k1"] == pytest.approx(1.0)
         assert s.acceptance["overall"]["k2"] == pytest.approx(1.0)
+        # No non-null move was proposed, so it has no acceptance rate.
+        assert np.isnan(s.acceptance_non_null["overall"]["k1"])
+        assert np.isnan(s.acceptance_non_null["overall"]["k2"])
 
     def test_two_point_detailed_balance(self):
         # k_max = 2 with decay 1: weight(1) = 1, weight(2) = exp(-2 ln 2)

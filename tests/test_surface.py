@@ -12,6 +12,7 @@ from tvspec.surface import (
     SurfaceParams,
     atom_bins,
     basis_matrix,
+    bin_masses,
     evaluate_surface,
     standard_basis_matrix,
     stick_weights,
@@ -273,7 +274,7 @@ class TestEvaluateSurface:
 
 @st.composite
 def shape_cases(draw):
-    """Sticks, atoms, degrees and a few evaluation points for surface_shape."""
+    """Sticks, atoms, degrees and a few evaluation points for the surface kernels."""
     L = draw(st.integers(1, 6))
     unit = st.floats(0.0, 1.0)
     V = np.array(draw(st.lists(st.floats(0.01, 0.99), min_size=L, max_size=L)))
@@ -310,8 +311,8 @@ class TestSurfaceShape:
     @given(shape_cases())
     def test_grid_matches_double_sum_and_pointwise(self, case):
         p, bins1, bins2, k1, k2, u, lam = case
-        B_u, B_lam = basis_matrix(u, k1), basis_matrix(lam, k2)
-        grid = surface_shape(p, bins1, bins2, B_u[:, :, None], B_lam[:, None, :])
+        w = bin_masses(p[None], bins1[None], bins2[None], k1, k2)[0]
+        grid = basis_matrix(u, k1).T @ w @ basis_matrix(lam, k2)
         assert grid.shape == (u.size, lam.size)
         ref = double_sum(p, bins1, bins2, k1, k2, u[:, None], lam[None, :])
         assert np.allclose(grid, ref, rtol=1e-12, atol=0)
