@@ -174,6 +174,7 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
         "k2_pmf": summary.k2_pmf.tolist(),
         "acceptance": samples.acceptance,
         "acceptance_non_null": samples.acceptance_non_null,
+        "acceptance_windows": samples.acceptance_windows,
         "runtime_seconds": samples.runtime_seconds,
         "timings_s": dict(zip(("periodogram", "grid", "chain", "summarize", "write"),
                               np.diff(marks).tolist())),

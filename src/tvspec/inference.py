@@ -56,7 +56,7 @@ def _draw_groups(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray) ->
     cfg = samples.prior.basis
     B_u = {k: basis_matrix(u, k, cfg) for k in np.unique(samples.k1).tolist()}
     B_lam = {k: basis_matrix(lam, k, cfg) for k in np.unique(samples.k2).tolist()}
-    p = np.exp(samples.log_tau)[:, None] * np.array([stick_weights(v) for v in samples.V])
+    p = np.exp(samples.log_tau)[:, None] * stick_weights(samples.V)
     keys, group = np.unique(np.column_stack((samples.k1, samples.k2)), axis=0, return_inverse=True)
     groups = []
     for g, (k1, k2) in enumerate(keys.tolist()):

@@ -52,23 +52,15 @@ def build_grid(T: int, m: int, thinning: int = 1) -> LikelihoodGrid:
         raise ValueError("thinning factor must be 1, 2 or 3")
     if m < 1 or T < m:
         raise ValueError(f"need T >= m >= 1, got T={T}, m={m}")
-    i = thinning
-    ts = []
-    l = 1
-    while i * (l - 1) * m + 1 <= T:
-        start = i * (l - 1) * m
-        stop = min(start + m, T)
-        ts.append(np.arange(start + 1, stop + 1))
-        l += 1
-    t = np.concatenate(ts)
-    j = mod_index(t, m)
+    # Time t is in block (t - 1) // m; every thinning-th block is kept.
+    t = np.flatnonzero((np.arange(T) // m) % thinning == 0) + 1
     return LikelihoodGrid(
-        thinning=i,
+        thinning=thinning,
         T=T,
         m=m,
         t=t,
-        j=j,
-        n_blocks=ceil((T - m) / (i * m)),
+        j=mod_index(t, m),
+        n_blocks=ceil((T - m) / (thinning * m)),
     )
 
 

@@ -7,9 +7,9 @@ a symmetrized Poisson random walk on each degree, a Roberts-Rosenthal
 adaptive Gaussian random walk on each logit block and a uniform random
 walk on ln tau with Robbins-Monro width tuning.  Every move ends in the
 one Metropolis test ``_Chain._accept``, which draws the uniform, records
-the outcome and commits the proposal on acceptance; only a degree
-proposal that is out of range or has step 0 is settled without a
-uniform.  Each block's prior term (with its Jacobian) comes from the
+the outcome in the move log and commits the proposal on acceptance; only
+a degree proposal that is out of range or has step 0 is settled without
+a uniform.  Each block's prior term (with its Jacobian) comes from the
 table ``_Chain.prior_term``.  All adaptation freezes at the end of
 burn-in.
 
@@ -45,6 +45,16 @@ INIT_DEGREE = 20
 ADAPT_START = 200  # sweeps before the adaptive proposal covariance is used
 ADAPT_MIX_WEIGHT = 0.05  # share of small fixed-scale proposals after that
 TAU_TARGET_ACCEPT = 0.44
+TAU_BATCH = 50  # sweeps per Robbins-Monro update of the tau width
+K_POISSON_RATE = 1.0  # mean step of the degree random walk
+WINDOW = 1000  # sweeps per progress call and per acceptance window
+
+# Outcome codes of the move log, one int8 per sweep and block: acceptance
+# rates, the tau width tuning and the progress hook all read slices of it.
+# 0 marks a move that was never recorded; a null (step-0) degree move
+# counts as accepted in the block rates.
+REJECT, ACCEPT, NULL = 1, 2, 3
+COLUMN = {name: col for col, name in enumerate(BLOCK_NAMES)}
 
 
 class InitializationError(RuntimeError):
@@ -56,10 +66,8 @@ class SamplerConfig:
     n_iter: int = 110_000
     burn_in: int = 60_000
     thin: int = 5
-    k_poisson_rate: float = 1.0
     tau_width_init: float = 1.0
     seed: int = 0
-    debug_check_every: int = 0
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.n_iter:
@@ -85,13 +93,36 @@ class PosteriorSampleSet:
     L: int
     prior: PriorConfig
     sampler: SamplerConfig
-    acceptance: dict = field(default_factory=dict)
-    acceptance_non_null: dict = field(default_factory=dict)  # k1 and k2 only
+    # (n_iter, 6) outcome codes, rows are sweeps, columns follow BLOCK_NAMES.
+    move_log: np.ndarray = field(default_factory=lambda: np.zeros((0, len(BLOCK_NAMES)), np.int8))
     runtime_seconds: float = 0.0
     tau_width_final: float = 0.0
 
     def __len__(self):
         return self.k1.size
+
+    def _phases(self, log: np.ndarray) -> dict:
+        burn_in = self.sampler.burn_in
+        return {"overall": block_rates(log), "post_burn_in": block_rates(log[burn_in:])}
+
+    @property
+    def acceptance(self) -> dict:
+        """Block rates over the whole run and after burn-in."""
+        return self._phases(self.move_log)
+
+    @property
+    def acceptance_non_null(self) -> dict:
+        """k1 and k2 rates with the null (step-0) moves left out."""
+        degrees = self.move_log[:, :2]  # the k1 and k2 columns
+        return self._phases(np.where(degrees == NULL, 0, degrees))
+
+    @property
+    def acceptance_windows(self) -> dict:
+        """Each block's rate over consecutive WINDOW-sweep windows; the last
+        window may be partial."""
+        log = self.move_log
+        rates = [block_rates(log[lo : lo + WINDOW]) for lo in range(0, len(log), WINDOW)]
+        return {name: [r[name] for r in rates] for name in BLOCK_NAMES}
 
     def surface_params(self, idx: int) -> SurfaceParams:
         measure = StickBreakingMeasure(V=self.V[idx], W1=self.W1[idx], W2=self.W2[idx])
@@ -104,9 +135,13 @@ class PosteriorSampleSet:
         )
 
 
-def _logit_jacobian(z) -> float:
-    """Sum over coordinates of ln sigma(z) + ln(1 - sigma(z))."""
-    return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
+def block_rates(log: np.ndarray) -> dict:
+    """Acceptance rate of each block over rows of a move log, keyed by the
+    BLOCK_NAMES of its columns; NaN for a block with no recorded move."""
+    moved = np.count_nonzero(log, axis=0).tolist()
+    accepted = np.count_nonzero(log >= ACCEPT, axis=0).tolist()  # ACCEPT or NULL
+    rates = zip(BLOCK_NAMES, moved, accepted)
+    return {name: a / n if n else float("nan") for name, n, a in rates}
 
 
 class _AdaptiveBlock:
@@ -125,8 +160,7 @@ class _AdaptiveBlock:
         self.mean += delta / self.count
         self.m2 += np.outer(delta, z - self.mean)
         if self.count > 2:
-            cov = self.m2 / (self.count - 1)
-            cov = cov + 1e-10 * np.eye(self.dim)
+            cov = self.m2 / (self.count - 1) + 1e-10 * np.eye(self.dim)
             self.chol = np.linalg.cholesky(cov)
 
 
@@ -144,7 +178,6 @@ class _Chain:
         self.cfg = cfg
         self.rng = rng
         self.use_likelihood = use_likelihood
-        self.grid = grid
         self.mi = periodograms.ordinates[grid.t - 1]
         self.u, self.lam = grid.u, grid.lam
         self.n_entries = len(grid)
@@ -158,14 +191,7 @@ class _Chain:
         self._init_state()
         self.adapt = {name: _AdaptiveBlock(z.size) for name, z in self.z.items()}
         self.tau_log_width = log(cfg.tau_width_init)
-        self._tau_batch = [0, 0, 0]  # batch index, proposals, accepts
-        # [proposals, accepts] per block, over the whole run and after burn-in.
-        self.tally = {
-            phase: {name: [0, 0] for name in BLOCK_NAMES}
-            for phase in ("overall", "post_burn_in")
-        }
-        # Null (step-0) degree moves per phase; ``tally`` counts them as accepted.
-        self.null_moves = {phase: dict.fromkeys(self.k, 0) for phase in self.tally}
+        self.log = np.zeros((cfg.n_iter, len(BLOCK_NAMES)), dtype=np.int8)
         self.iteration = 0
 
     # -- state -----------------------------------------------------------
@@ -227,18 +253,15 @@ class _Chain:
     def _degree_term(self, k: int) -> float:
         return self.log_pmf[k - 1]
 
-    def _atom_term(self, z) -> float:
-        """Uniform atoms: only the logit Jacobian."""
-        return _logit_jacobian(z)
+    def _logit_jacobian(self, z) -> float:
+        """Sum over coordinates of ln sigma(z) + ln(1 - sigma(z)); the whole
+        prior term of the uniform atoms."""
+        return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
 
     def _v_term(self, zV) -> float:
         M = self.prior_cfg.dp_mass
         V = expit(zV)
-        return (
-            self.L * log(M)
-            + (M - 1.0) * float(np.sum(np.log1p(-V)))
-            + _logit_jacobian(zV)
-        )
+        return self.L * log(M) + (M - 1.0) * float(np.sum(np.log1p(-V))) + self._logit_jacobian(zV)
 
     # Log prior term of each block of the k and z tables, with its Jacobian.
     # Class-level tables hold plain functions, so a chain is not kept alive
@@ -246,8 +269,8 @@ class _Chain:
     prior_term = {
         "k1": _degree_term,
         "k2": _degree_term,
-        "W1": _atom_term,
-        "W2": _atom_term,
+        "W1": _logit_jacobian,
+        "W2": _logit_jacobian,
         "V": _v_term,
     }
 
@@ -259,25 +282,19 @@ class _Chain:
 
     # -- moves -------------------------------------------------------------
 
-    def _record(self, name: str, accepted: bool, null: bool = False):
-        for phase, counts in self.tally.items():
-            if phase == "overall" or self.iteration > self.cfg.burn_in:
-                counts[name][0] += 1
-                counts[name][1] += accepted
-                if null:
-                    self.null_moves[phase][name] += 1
+    def _record(self, name: str, code: int):
+        self.log[self.iteration - 1, COLUMN[name]] = code
 
-    def _accept(self, name: str, delta: float, **proposal) -> bool:
+    def _accept(self, name: str, delta: float, **proposal):
         """Metropolis test of the log ratio ``delta``; on accept, set ``proposal``.
 
         The uniform is drawn even when ``delta`` is -inf, so a proposal with
         prior density 0 is rejected without shifting the random stream.
         """
         accepted = log(self.rng.uniform()) < delta
-        self._record(name, accepted)
+        self._record(name, ACCEPT if accepted else REJECT)
         if accepted:
             vars(self).update(proposal)
-        return accepted
 
     def _surface_move(self, name: str, new, old, k: dict, z: dict, p: np.ndarray):
         """Propose block ``name`` from ``old`` to ``new``; (k, z, p) hold the proposal."""
@@ -293,23 +310,19 @@ class _Chain:
 
     def step_degree(self, name: str):
         k_old = self.k[name]
-        step = int(self.rng.poisson(self.cfg.k_poisson_rate))
+        step = int(self.rng.poisson(K_POISSON_RATE))
         k_new = k_old + (step if self.rng.uniform() < 0.5 else -step)
         if k_new == k_old or not 1 <= k_new <= self.prior_cfg.k_max:
             # Decided without a uniform: an out-of-range degree is rejected,
-            # and a null move (step 0) is counted as accepted.
-            null = k_new == k_old
-            self._record(name, null, null)
+            # and a null move (step 0) is recorded as such.
+            self._record(name, NULL if k_new == k_old else REJECT)
             return
         self._surface_move(name, k_new, k_old, {**self.k, name: k_new}, self.z, self.p)
 
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
-        safe = (
-            self.iteration <= ADAPT_START
-            or blk.chol is None
-            or self.rng.uniform() < ADAPT_MIX_WEIGHT
-        )
+        adaptive = self.iteration > ADAPT_START and blk.chol is not None
+        safe = not adaptive or self.rng.uniform() < ADAPT_MIX_WEIGHT
         noise = self.rng.standard_normal(dim)
         if safe:
             return (0.01 / sqrt(dim)) * noise
@@ -340,19 +353,14 @@ class _Chain:
                 + prior_new
                 - self._tau_term(self.log_tau)
             )
-        accepted = self._accept(name, delta, log_tau=lt_new)
+        self._accept(name, delta, log_tau=lt_new)
 
-        # Robbins-Monro width tuning in batches of 50, burn-in only.
-        if self.iteration <= self.cfg.burn_in:
-            self._tau_batch[1] += 1
-            self._tau_batch[2] += accepted
-            if self._tau_batch[1] == 50:
-                self._tau_batch[0] += 1
-                rate = self._tau_batch[2] / 50.0
-                gain = min(0.25, 1.0 / sqrt(self._tau_batch[0]))
-                self.tau_log_width += gain if rate > TAU_TARGET_ACCEPT else -gain
-                self._tau_batch[1] = 0
-                self._tau_batch[2] = 0
+        # Robbins-Monro width tuning on each batch of sweeps, burn-in only.
+        it = self.iteration
+        if it <= self.cfg.burn_in and it % TAU_BATCH == 0:
+            accepted = np.count_nonzero(self.log[it - TAU_BATCH : it, COLUMN[name]] == ACCEPT)
+            gain = min(0.25, 1.0 / sqrt(it // TAU_BATCH))
+            self.tau_log_width += gain if accepted / TAU_BATCH > TAU_TARGET_ACCEPT else -gain
 
     # The move of each block; sweep() runs them in the order of BLOCK_NAMES.
     moves = {
@@ -391,8 +399,8 @@ def run_chain(
     """Run one MCMC chain and return thinned post-burn-in draws.
 
     ``progress``, if given, is called as progress(iteration, log_posterior,
-    acceptance_rates) every 1000 sweeps.  Fully deterministic for a given
-    seed when ``rng`` is left unset.
+    acceptance_rates) every WINDOW sweeps, with the block rates so far.
+    Fully deterministic for a given seed when ``rng`` is left unset.
     """
     if rng is None:
         rng = np.random.default_rng(sampler_cfg.seed)
@@ -416,8 +424,6 @@ def run_chain(
     kept = 0
     for it in range(1, sampler_cfg.n_iter + 1):
         chain.sweep()
-        if sampler_cfg.debug_check_every and it % sampler_cfg.debug_check_every == 0:
-            chain.check_cache_drift()
         if it > sampler_cfg.burn_in and (it - sampler_cfg.burn_in) % sampler_cfg.thin == 0:
             for name, k in chain.k.items():
                 getattr(out, name)[kept] = k
@@ -426,19 +432,10 @@ def run_chain(
             out.log_tau[kept] = chain.log_tau
             out.log_post[kept] = chain.log_posterior()
             kept += 1
-        if progress is not None and it % 1000 == 0:
-            progress(it, chain.log_posterior(), _rates(chain.tally["overall"]))
+        if progress is not None and it % WINDOW == 0:
+            progress(it, chain.log_posterior(), block_rates(chain.log[:it]))
 
-    out.acceptance = {phase: _rates(counts) for phase, counts in chain.tally.items()}
-    for phase, nulls in chain.null_moves.items():
-        tally = chain.tally[phase]
-        out.acceptance_non_null[phase] = _rates(
-            {name: (tally[name][0] - z, tally[name][1] - z) for name, z in nulls.items()}
-        )
+    out.move_log = chain.log
     out.runtime_seconds = time.perf_counter() - start
     out.tau_width_final = float(np.exp(chain.tau_log_width))
     return out
-
-
-def _rates(counts: dict) -> dict:
-    return {name: (a / n) if n else float("nan") for name, (n, a) in counts.items()}

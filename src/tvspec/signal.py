@@ -159,14 +159,6 @@ def simulate_dgp(spec: DgpSpec, rng: np.random.Generator) -> TimeSeries:
     return TimeSeries(dgp_path(spec.model, spec.T, w))
 
 
-def _ma_psd(theta, lam):
-    """|1 + sum_j theta_j e^{-i pi lam j}|^2 / (2 pi) for MA coefficients."""
-    z = np.ones_like(np.asarray(lam, dtype=complex))
-    for j, th in enumerate(theta, start=1):
-        z = z + th * np.exp(-1j * np.pi * lam * j)
-    return np.abs(z) ** 2 / (2.0 * np.pi)
-
-
 def true_tv_psd(model: str, u, lam):
     """Closed-form tv-PSD of a built-in DGP.
 

@@ -81,17 +81,17 @@ def standard_basis_matrix(x, k: int) -> np.ndarray:
 
 
 def stick_weights(V) -> np.ndarray:
-    """Weights (p_0, p_1, ..., p_L) of a truncated stick-breaking measure.
+    """Weights (p_0, p_1, ..., p_L) of truncated stick-breaking measures.
 
     p_l = V_l * prod_{r<l} (1 - V_r) for l >= 1; p_0 absorbs the remainder
-    so the weights always sum to one.
+    so the weights always sum to one.  The sticks run along the last axis
+    of ``V``; leading axes index measures.
     """
     V = np.asarray(V, dtype=float)
     if V.size and (np.any(V <= 0.0) | np.any(V >= 1.0)):
         raise ValueError("sticks must lie strictly inside (0, 1)")
-    remain = np.concatenate(([1.0], np.cumprod(1.0 - V)))
-    p = remain[:-1] * V
-    return np.concatenate(([max(remain[-1], 0.0)], p))
+    remain = np.concatenate((np.ones(V.shape[:-1] + (1,)), np.cumprod(1.0 - V, axis=-1)), axis=-1)
+    return np.concatenate((remain[..., -1:], remain[..., :-1] * V), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,10 @@ class TestEstimate:
         assert set(meta["acceptance"]) == {"overall", "post_burn_in"}
         assert set(meta["acceptance_non_null"]) == {"overall", "post_burn_in"}
         assert set(meta["acceptance_non_null"]["overall"]) == {"k1", "k2"}
+        windows = meta["acceptance_windows"]  # 1500 sweeps: one full window, one of 500
+        assert set(windows) == {"k1", "k2", "W1", "W2", "V", "tau"}
+        assert all(len(rates) == 2 and all(0.0 <= r <= 1.0 for r in rates)
+                   for rates in windows.values())
         timings = meta["timings_s"]
         assert set(timings) == {"periodogram", "grid", "chain", "summarize", "write"}
         assert all(t >= 0.0 for t in timings.values())

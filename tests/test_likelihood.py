@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvspec.likelihood import (
     EvaluationError,
@@ -62,6 +64,24 @@ class TestBuildGrid:
         n3 = len(build_grid(900, 30, 3))
         assert abs(n2 - n1 / 2) <= 30
         assert abs(n3 - n1 / 3) <= 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_definition(self, data):
+        m = data.draw(st.integers(1, 40), label="m")
+        T = data.draw(st.integers(m, 8 * m + 50), label="T")
+        thinning = data.draw(st.integers(1, 3), label="thinning")
+        # Block l = 1, 2, ... starts at thinning (l - 1) m and holds the next m
+        # times up to T; blocks are added while their start is below T.
+        blocks, start = [], 0
+        while start < T:
+            blocks.append(np.arange(start + 1, min(start + m, T) + 1))
+            start += thinning * m
+        g = build_grid(T, m, thinning)
+        expected = np.concatenate(blocks)
+        assert g.t.dtype == expected.dtype
+        assert np.array_equal(g.t, expected)
+        assert np.array_equal(g.j, mod_index(expected, m))
 
     def test_rescaled_coordinates(self):
         g = build_grid(50, 4, 1)

@@ -8,19 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import expit, log_expit
 
-from tvspec.likelihood import build_grid
+import tvspec.sampler
+from tvspec.likelihood import build_grid, log_dynamic_whittle
 from tvspec.periodogram import WindowConfig, moving_periodograms
-from tvspec.prior import PriorConfig, degree_pmf
+from tvspec.prior import PriorConfig, degree_pmf, log_prior
 from tvspec.sampler import (
+    ACCEPT,
     ADAPT_START,
     BLOCK_NAMES,
+    NULL,
+    REJECT,
+    TAU_BATCH,
+    TAU_TARGET_ACCEPT,
+    WINDOW,
     PosteriorSampleSet,
     SamplerConfig,
     _Chain,
+    block_rates,
     run_chain,
 )
 from tvspec.signal import DgpSpec, InnovationSpec, TimeSeries, simulate_dgp
+from tvspec.surface import StickBreakingMeasure, SurfaceParams, evaluate_surface
 
 
 def make_inputs(n=300, m=20, thinning=1, seed=61, model="LS1"):
@@ -29,6 +39,11 @@ def make_inputs(n=300, m=20, thinning=1, seed=61, model="LS1"):
     pg = moving_periodograms(series, WindowConfig(m=m))
     grid = build_grid(pg.T, m, thinning)
     return pg, grid
+
+
+@cache
+def shared_inputs():
+    return make_inputs()
 
 
 class TestConfig:
@@ -69,6 +84,10 @@ class TestBookkeeping:
         assert s.runtime_seconds > 0.0
         for block in ("k1", "k2", "W1", "W2", "V", "tau"):
             assert 0.0 <= s.acceptance["overall"][block] <= 1.0
+        # Every move of every sweep is recorded once; only degree moves can be null.
+        assert s.move_log.shape == (1000, len(BLOCK_NAMES))
+        assert np.all(np.isin(s.move_log, (REJECT, ACCEPT, NULL)))
+        assert not np.any(s.move_log[:, 2:] == NULL)
 
     def test_surface_params_roundtrip(self):
         pg, grid = make_inputs()
@@ -87,22 +106,40 @@ class TestBookkeeping:
         )
         assert seen == [1000, 2000]
 
+    def test_progress_and_windows_read_the_move_log(self):
+        pg, grid = make_inputs()
+        seen = []
+        s = run_chain(
+            pg, grid, PriorConfig(),
+            SamplerConfig(n_iter=2500, burn_in=500, seed=5),
+            progress=lambda it, lp, rates: seen.append((it, rates)),
+        )
+        for it, rates in seen:
+            assert rates == block_rates(s.move_log[:it])
+        # Windows of 1000, 1000 and 500 sweeps; their sweep-weighted mean is
+        # the overall rate.
+        sizes = np.array([WINDOW, WINDOW, 500])
+        for name, rates in s.acceptance_windows.items():
+            assert len(rates) == 3
+            mean = np.dot(sizes, rates) / sizes.sum()
+            assert mean == pytest.approx(s.acceptance["overall"][name], rel=1e-12)
+
     def test_cached_posterior_no_drift(self):
         pg, grid = make_inputs()
-        cfg = SamplerConfig(n_iter=3000, burn_in=1000, seed=6, debug_check_every=250)
-        run_chain(pg, grid, PriorConfig(), cfg)  # raises on drift > 1e-8
+        cfg = SamplerConfig(n_iter=3000, burn_in=1000, seed=6)
+        chain = _Chain(pg, grid, PriorConfig(), cfg, np.random.default_rng(cfg.seed),
+                       use_likelihood=True)
+        for it in range(1, cfg.n_iter + 1):
+            chain.sweep()
+            if it % 250 == 0:
+                chain.check_cache_drift()  # raises on drift > 1e-8
 
 
 class TestCacheGuard:
-    @staticmethod
-    @cache
-    def inputs():
-        return make_inputs()
-
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_cached_terms_match_recomputation_after_every_move(self, seed):
-        pg, grid = self.inputs()
+        pg, grid = shared_inputs()
         chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=seed),
                        np.random.default_rng(seed), use_likelihood=True)
         checks = dict.fromkeys(BLOCK_NAMES, 0)
@@ -121,6 +158,34 @@ class TestCacheGuard:
         assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
 
 
+class TestLogPosterior:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sweeps=st.integers(0, 300),
+           use_likelihood=st.booleans())
+    def test_matches_public_pieces(self, seed, sweeps, use_likelihood):
+        pg, grid = shared_inputs()
+        prior = PriorConfig()
+        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed),
+                       np.random.default_rng(seed), use_likelihood=use_likelihood)
+        for _ in range(sweeps):
+            chain.sweep()
+        z = chain.z
+        params = SurfaceParams(
+            tau=float(np.exp(chain.log_tau)),
+            k1=chain.k["k1"],
+            k2=chain.k["k2"],
+            measure=StickBreakingMeasure(V=expit(z["V"]), W1=expit(z["W1"]), W2=expit(z["W2"])),
+            basis=prior.basis,
+        )
+        # The chain targets the transformed coordinates: the natural-scale
+        # prior plus the logit Jacobians of V, W1 and W2 and ln tau.
+        expected = log_prior(params, prior) + chain.log_tau
+        expected += sum(float(np.sum(log_expit(v) + log_expit(-v))) for v in z.values())
+        if use_likelihood:
+            expected += log_dynamic_whittle(evaluate_surface(params, grid.u, grid.lam), pg, grid)
+        assert chain.log_posterior() == pytest.approx(expected, rel=1e-9)
+
+
 class TestStickMoves:
     def test_stick_rounding_to_one_is_rejected(self):
         pg, grid = make_inputs()
@@ -130,8 +195,11 @@ class TestStickMoves:
         zV, A, C = chain.z["V"].copy(), chain.A, chain.C
         expected_rng = copy.deepcopy(chain.rng)
         expected_rng.uniform()
+        chain.iteration = 1  # the move is recorded in the first row of the log
         chain.moves["V"](chain, "V")  # expit(0 + 40) rounds to 1.0
-        assert tuple(chain.tally["overall"]["V"]) == (1, 0)
+        col = BLOCK_NAMES.index("V")
+        assert np.argwhere(chain.log).tolist() == [[0, col]]  # one recorded outcome
+        assert chain.log[0, col] == REJECT
         assert np.array_equal(chain.z["V"], zV) and (chain.A, chain.C) == (A, C)
         assert chain.rng.bit_generator.state == expected_rng.bit_generator.state
         chain.check_cache_drift()
@@ -151,9 +219,10 @@ class TestDegreeMoves:
                 assert s.acceptance_non_null[phase][name] == 0.0
                 assert s.acceptance[phase][name] == pytest.approx(np.exp(-1.0), abs=0.1)
 
-    def test_identity_moves_always_accepted(self):
+    def test_identity_moves_always_accepted(self, monkeypatch):
+        monkeypatch.setattr(tvspec.sampler, "K_POISSON_RATE", 1e-9)
         pg, grid = make_inputs()
-        cfg = SamplerConfig(n_iter=600, burn_in=100, seed=9, k_poisson_rate=1e-9)
+        cfg = SamplerConfig(n_iter=600, burn_in=100, seed=9)
         s = run_chain(pg, grid, PriorConfig(), cfg)
         assert s.acceptance["overall"]["k1"] == pytest.approx(1.0)
         assert s.acceptance["overall"]["k2"] == pytest.approx(1.0)
@@ -193,6 +262,17 @@ class TestTauMoves:
             pg, grid, prior, SamplerConfig(n_iter=6000, burn_in=2000, seed=12)
         )
         assert short.tau_width_final == long.tau_width_final
+
+    def test_width_follows_tau_column_of_log(self):
+        pg, grid = make_inputs()
+        cfg = SamplerConfig(n_iter=1200, burn_in=1000, seed=12)
+        s = run_chain(pg, grid, PriorConfig(), cfg)
+        tau = s.move_log[: cfg.burn_in, BLOCK_NAMES.index("tau")]
+        log_width = 0.0  # tau_width_init = 1
+        for b, batch in enumerate(tau.reshape(-1, TAU_BATCH), start=1):
+            gain = min(0.25, 1.0 / np.sqrt(b))
+            log_width += gain if np.mean(batch == ACCEPT) > TAU_TARGET_ACCEPT else -gain
+        assert s.tau_width_final == pytest.approx(np.exp(log_width), rel=1e-12)
 
 
 class TestPriorRecovery:

@@ -63,6 +63,14 @@ class TestStickWeights:
             assert np.all(p >= 0.0)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_leading_axes_match_rows(self):
+        rng = np.random.default_rng(33)
+        V = rng.uniform(1e-6, 1.0 - 1e-6, size=(4, 5, 7))
+        p = stick_weights(V)
+        assert p.shape == (4, 5, 8)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(p[idx], stick_weights(V[idx]))
+
 
 class TestTruncatedBetaDensity:
     def test_uniform_case(self):
