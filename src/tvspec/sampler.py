@@ -74,6 +74,8 @@ class SamplerConfig:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if not self.tau_width_init > 0:
+            raise ValueError("tau_width_init must be > 0")
 
 
 @dataclass
@@ -87,10 +89,6 @@ class PosteriorSampleSet:
     W1: np.ndarray
     W2: np.ndarray
     log_post: np.ndarray
-    m: int
-    T: int
-    thinning: int
-    L: int
     prior: PriorConfig
     sampler: SamplerConfig
     # (n_iter, 6) outcome codes, rows are sweeps, columns follow BLOCK_NAMES.
@@ -283,6 +281,8 @@ class _Chain:
     # -- moves -------------------------------------------------------------
 
     def _record(self, name: str, code: int):
+        if self.iteration < 1:
+            raise RuntimeError(f"{name} move called outside sweep()")
         self.log[self.iteration - 1, COLUMN[name]] = code
 
     def _accept(self, name: str, delta: float, **proposal):
@@ -392,7 +392,6 @@ def run_chain(
     grid: LikelihoodGrid,
     prior_cfg: PriorConfig,
     sampler_cfg: SamplerConfig,
-    rng: np.random.Generator | None = None,
     use_likelihood: bool = True,
     progress=None,
 ) -> PosteriorSampleSet:
@@ -400,10 +399,9 @@ def run_chain(
 
     ``progress``, if given, is called as progress(iteration, log_posterior,
     acceptance_rates) every WINDOW sweeps, with the block rates so far.
-    Fully deterministic for a given seed when ``rng`` is left unset.
+    Fully deterministic for a given ``sampler_cfg.seed``.
     """
-    if rng is None:
-        rng = np.random.default_rng(sampler_cfg.seed)
+    rng = np.random.default_rng(sampler_cfg.seed)
     start = time.perf_counter()
     chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg, rng, use_likelihood)
 
@@ -413,10 +411,6 @@ def run_chain(
         **{name: np.empty((n_keep, z.size)) for name, z in chain.z.items()},
         log_tau=np.empty(n_keep),
         log_post=np.empty(n_keep),
-        m=grid.m,
-        T=grid.T,
-        thinning=grid.thinning,
-        L=chain.L,
         prior=prior_cfg,
         sampler=sampler_cfg,
     )

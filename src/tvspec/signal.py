@@ -2,8 +2,10 @@
 
 The six built-in data generating processes (DGPs) cover slowly varying
 moving-average and autoregressive recursions (LS1-LS3), a piecewise
-stationary AR switch (PS1) and two stationary references (S1, S2).  Each
-has a closed-form time-varying spectral density used for validation.
+stationary AR switch (PS1) and two stationary references (S1, S2).  All
+are tvARMA(1, 2) processes, one row each of the table ``MODELS``; the
+simulator ``dgp_path`` and the closed-form tv-PSD ``true_tv_psd`` both
+read their coefficients from it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VALID_DGPS = ("LS1", "LS2", "LS3", "PS1", "S1", "S2")
+# X_t = phi(u) X_{t-1} + w_t + theta1(u) w_{t-1} + theta2(u) w_{t-2} at
+# u = t / T, with X_0 = 0: each model's (phi, theta1, theta2), every
+# coefficient a constant or a function of u.
+MODELS = {
+    "LS1": (0.0, lambda u: 1.122 * (1.0 - 1.718 * np.sin(0.5 * np.pi * u)), -0.81),
+    "LS2": (0.0, lambda u: 1.1 * np.cos(1.5 - np.cos(4.0 * np.pi * u)), 0.0),
+    "LS3": (lambda u: 1.2 * u - 0.6, 0.0, 0.0),
+    "PS1": (lambda u: np.where(u <= 0.5, -0.5, 0.5), 0.0, 0.0),
+    "S1": (0.75, 0.8, 0.0),
+    "S2": (0.0, -0.36, 0.85),
+}
+VALID_DGPS = tuple(MODELS)
 
 GAUSSIAN = "gaussian"
 STUDENT_T3 = "student-t3"
@@ -92,6 +105,14 @@ class DgpSpec:
             raise ValueError("T must be >= 1")
 
 
+def _coefficients(model: str, u) -> tuple:
+    """(phi, theta1, theta2) of ``model`` at the rescaled times in the float
+    array ``u``, each broadcast to the shape of ``u``."""
+    if model not in MODELS:
+        raise ValueError(f"unknown DGP {model!r}")
+    return tuple(np.broadcast_to(c(u) if callable(c) else c, u.shape) for c in MODELS[model])
+
+
 def sample_innovations(spec: InnovationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` iid innovations from the chosen standardized family."""
     if spec.kind == GAUSSIAN:
@@ -107,50 +128,21 @@ def dgp_path(model: str, T: int, innovations: np.ndarray) -> np.ndarray:
     """Run a DGP recursion on a given innovation stream.
 
     ``innovations`` must have length T + 2; the first two entries are the
-    pre-period draws feeding the MA terms of the first observations.  AR
-    recursions start from X_0 = 0.
+    pre-period draws feeding the MA terms of the first observations.  The
+    recursion starts from X_0 = 0.
     """
     w = np.asarray(innovations, dtype=float)
     if w.size != T + 2:
         raise ValueError(f"need {T + 2} innovations, got {w.size}")
-    t = np.arange(1, T + 1, dtype=float)
-    u = t / T
+    phi, theta1, theta2 = _coefficients(model, np.arange(1, T + 1, dtype=float) / T)
     # w[t+1] is the innovation of observation t (t = 1..T).
-    wt, wtm1, wtm2 = w[2:], w[1:-1], w[:-2]
-
-    if model == "LS1":
-        theta1 = 1.122 * (1.0 - 1.718 * np.sin(0.5 * np.pi * u))
-        return wt + theta1 * wtm1 - 0.81 * wtm2
-    if model == "LS2":
-        theta1 = 1.1 * np.cos(1.5 - np.cos(4.0 * np.pi * u))
-        return wt + theta1 * wtm1
-    if model == "S2":
-        return wt - 0.36 * wtm1 + 0.85 * wtm2
-    if model == "LS3":
-        a = 1.2 * u - 0.6
-        x = np.empty(T)
-        prev = 0.0
-        for i in range(T):
-            prev = a[i] * prev + wt[i]
-            x[i] = prev
-        return x
-    if model == "PS1":
-        half = T // 2
-        x = np.empty(T)
-        prev = 0.0
-        for i in range(T):
-            a = -0.5 if (i + 1) <= half else 0.5
-            prev = a * prev + wt[i]
-            x[i] = prev
-        return x
-    if model == "S1":
-        x = np.empty(T)
-        prev = 0.0
-        for i in range(T):
-            prev = 0.75 * prev + wt[i] + 0.8 * wtm1[i]
-            x[i] = prev
-        return x
-    raise ValueError(f"unknown DGP {model!r}")
+    ma1, ma2 = theta1 * w[1:-1], theta2 * w[:-2]
+    x = []
+    prev = 0.0
+    for a, wt, b1, b2 in zip(phi.tolist(), w[2:].tolist(), ma1.tolist(), ma2.tolist()):
+        prev = a * prev + wt + b1 + b2
+        x.append(prev)
+    return np.array(x, dtype=float)
 
 
 def simulate_dgp(spec: DgpSpec, rng: np.random.Generator) -> TimeSeries:
@@ -160,33 +152,14 @@ def simulate_dgp(spec: DgpSpec, rng: np.random.Generator) -> TimeSeries:
 
 
 def true_tv_psd(model: str, u, lam):
-    """Closed-form tv-PSD of a built-in DGP.
+    """Closed-form tv-PSD of a built-in DGP,
+    |1 + theta1 e + theta2 e^2|^2 / (2 pi |1 - phi e|^2) with e = exp(-i pi lam).
 
     ``u`` and ``lam`` are rescaled time and frequency in [0, 1] (the
     angular frequency is pi * lam); inputs broadcast against each other.
     """
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    u, lam = np.broadcast_arrays(u, lam)
+    u, lam = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
+    phi, theta1, theta2 = _coefficients(model, u)
     e1 = np.exp(-1j * np.pi * lam)
-
-    if model == "LS1":
-        theta1 = 1.122 * (1.0 - 1.718 * np.sin(0.5 * np.pi * u))
-        return np.abs(1.0 + theta1 * e1 - 0.81 * e1 ** 2) ** 2 / (2.0 * np.pi)
-    if model == "LS2":
-        theta1 = 1.1 * np.cos(1.5 - np.cos(4.0 * np.pi * u))
-        return np.abs(1.0 + theta1 * e1) ** 2 / (2.0 * np.pi)
-    if model == "LS3":
-        a = 1.2 * u - 0.6
-        return 1.0 / (2.0 * np.pi * np.abs(1.0 - a * e1) ** 2)
-    if model == "PS1":
-        a = np.where(u <= 0.5, -0.5, 0.5)
-        return 1.0 / (2.0 * np.pi * np.abs(1.0 - a * e1) ** 2)
-    if model == "S1":
-        num = np.abs(1.0 + 0.8 * e1) ** 2
-        den = np.abs(1.0 - 0.75 * e1) ** 2
-        return np.broadcast_to(num / den / (2.0 * np.pi), u.shape).copy()
-    if model == "S2":
-        out = np.abs(1.0 - 0.36 * e1 + 0.85 * e1 ** 2) ** 2 / (2.0 * np.pi)
-        return np.broadcast_to(out, u.shape).copy()
-    raise ValueError(f"unknown DGP {model!r}")
+    num = np.abs(1.0 + theta1 * e1 + theta2 * e1 ** 2) ** 2
+    return num / (2.0 * np.pi * np.abs(1.0 - phi * e1) ** 2)

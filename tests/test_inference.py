@@ -37,10 +37,6 @@ def make_samples(k1, log_tau, L=4, seed=71, k2=None):
         W1=rng.uniform(size=(n, L + 1)),
         W2=rng.uniform(size=(n, L + 1)),
         log_post=np.zeros(n),
-        m=20,
-        T=260,
-        thinning=1,
-        L=L,
         prior=PriorConfig(),
         sampler=SamplerConfig(n_iter=10, burn_in=0, thin=1),
     )

@@ -52,6 +52,9 @@ class TestConfig:
             SamplerConfig(n_iter=100, burn_in=100)
         with pytest.raises(ValueError):
             SamplerConfig(thin=0)
+        for width in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tau_width_init"):
+                SamplerConfig(tau_width_init=width)
 
 
 class TestDeterminism:
@@ -133,6 +136,16 @@ class TestBookkeeping:
             chain.sweep()
             if it % 250 == 0:
                 chain.check_cache_drift()  # raises on drift > 1e-8
+
+    def test_move_outside_sweep_raises(self):
+        # Before the first sweep there is no log row to record in.
+        pg, grid = shared_inputs()
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=17),
+                       np.random.default_rng(17), use_likelihood=True)
+        for name, move in chain.moves.items():
+            with pytest.raises(RuntimeError, match="outside sweep"):
+                move(chain, name)
+            assert not chain.log.any(), name
 
 
 class TestCacheGuard:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tvspec.signal import (
     VALID_DGPS,
@@ -74,6 +77,71 @@ class TestInnovations:
         x = sample_innovations(InnovationSpec("t3"), 10**6, rng)
         assert abs(x.mean()) < 0.01
         assert 0.8 < x.var() < 1.3
+
+
+def oracle_coefficients(model, u):
+    """(phi, theta1, theta2) of each model at rescaled times u, written out
+    from the model definitions rather than read from tvspec.signal."""
+    u = np.asarray(u, dtype=float)
+    zero = np.zeros_like(u)
+    return {
+        "LS1": (zero, 1.122 * (1.0 - 1.718 * np.sin(np.pi * u / 2.0)), zero - 0.81),
+        "LS2": (zero, 1.1 * np.cos(1.5 - np.cos(4.0 * np.pi * u)), zero),
+        "LS3": (1.2 * u - 0.6, zero, zero),
+        "PS1": (np.where(u <= 0.5, -0.5, 0.5), zero, zero),
+        "S1": (zero + 0.75, zero + 0.8, zero),
+        "S2": (zero, zero - 0.36, zero + 0.85),
+    }[model]
+
+
+class TestModelOracles:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        u=st.floats(0.0, 1.0),
+        lam=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @example(u=0.5, lam=[0.0, 1.0])
+    def test_psd_matches_freqz(self, u, lam):
+        lam = np.asarray(lam)
+        for model in VALID_DGPS:
+            phi, theta1, theta2 = (float(c) for c in oracle_coefficients(model, u))
+            _, h = scipy.signal.freqz([1.0, theta1, theta2], [1.0, -phi], worN=np.pi * lam)
+            # atol covers the zeros of the LS1 MA polynomial at lam = 0 and 1.
+            np.testing.assert_allclose(
+                true_tv_psd(model, u, lam), np.abs(h) ** 2 / (2.0 * np.pi),
+                rtol=1e-12, atol=1e-15, err_msg=model,
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 400),
+        kind=st.sampled_from(["a", "b", "c"]),
+    )
+    def test_constant_models_match_lfilter(self, seed, T, kind):
+        w = sample_innovations(InnovationSpec(kind), T + 2, np.random.default_rng(seed))
+        for model in ("S1", "S2"):
+            phi, theta1, theta2 = (float(c) for c in oracle_coefficients(model, 0.0))
+            # S1 has no w_{t-2} term: two taps, run over w[1:].
+            b, taps = ([1.0, theta1], w[1:]) if model == "S1" else ([1.0, theta1, theta2], w)
+            expected = scipy.signal.lfilter([1.0], [1.0, -phi], np.convolve(taps, b, "valid"))
+            np.testing.assert_allclose(dgp_path(model, T, w), expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 400),
+        model=st.sampled_from(VALID_DGPS),
+    )
+    def test_paths_satisfy_recursion(self, seed, T, model):
+        # X_t - phi(u) X_{t-1} = w_t + theta1(u) w_{t-1} + theta2(u) w_{t-2}
+        # at u = t / T, with X_0 = 0.
+        w = np.random.default_rng(seed).standard_normal(T + 2)
+        x = dgp_path(model, T, w)
+        phi, theta1, theta2 = oracle_coefficients(model, np.arange(1, T + 1) / T)
+        lhs = x - phi * np.concatenate([[0.0], x[:-1]])
+        rhs = w[2:] + theta1 * w[1:-1] + theta2 * w[:-2]
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12, err_msg=model)
 
 
 class TestDgpPath:
