@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--xi-l", dest="xi_l", type=float, default=0.1)
     p_est.add_argument("--xi-r", dest="xi_r", type=float, default=0.9)
     p_est.add_argument("--truncation-L", dest="truncation_L", type=int, default=None)
-    p_est.add_argument("--time-grid", dest="time_grid", type=int, default=201)
-    p_est.add_argument("--freq-grid", dest="freq_grid", type=int, default=101)
+    p_est.add_argument("--time-grid", dest="time_grid", type=_positive_int, default=201)
+    p_est.add_argument("--freq-grid", dest="freq_grid", type=_positive_int, default=101)
     p_est.add_argument("--output-dir", dest="output_dir", default="tvspec-run")
     p_est.add_argument("--save-draws", dest="save_draws", action="store_true")
     p_est.add_argument("--chains", type=_positive_int, default=1)

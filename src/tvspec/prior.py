@@ -5,6 +5,9 @@ positive integers, clipped at k_max (mass beyond the cap is lumped onto
 it, which is what makes the Savage-Dickey ceiling come out at 27.2808
 under the defaults); Dirichlet-process sticks Beta(1, M) with uniform
 atoms; scale tau Inverse-Gamma(shape, rate).
+
+Each density is written once, here: ``log_prior`` sums them on the
+natural scale, and the sampler adds its logit Jacobians to them.
 """
 
 from __future__ import annotations
@@ -75,11 +78,19 @@ def prior_prob_k1_equals_1(cfg: PriorConfig) -> float:
     return float(degree_pmf(cfg)[0])
 
 
-def log_inverse_gamma(tau: float, shape: float, rate: float) -> float:
-    """Log density of Inverse-Gamma(shape, rate) at tau."""
-    if tau <= 0.0:
+def log_tau_density(cfg: PriorConfig, log_tau: float) -> float:
+    """Log density of ln tau under the Inverse-Gamma(shape, rate) prior on
+    tau: the tau density plus the Jacobian d tau / d ln tau = tau."""
+    a, b = cfg.tau_shape, cfg.tau_rate
+    if -log_tau > 700.0:  # exp would overflow; the density is 0 there anyway
         return -np.inf
-    return shape * log(rate) - lgamma(shape) - (shape + 1.0) * log(tau) - rate / tau
+    return a * log(b) - lgamma(a) - a * log_tau - b * np.exp(-log_tau)
+
+
+def log_stick_density(cfg: PriorConfig, V: np.ndarray) -> float:
+    """Log density of the sticks V, independent Beta(1, dp_mass)."""
+    M = cfg.dp_mass
+    return V.size * log(M) + (M - 1.0) * float(np.sum(np.log1p(-V)))
 
 
 def log_prior(params: SurfaceParams, cfg: PriorConfig) -> float:
@@ -87,15 +98,14 @@ def log_prior(params: SurfaceParams, cfg: PriorConfig) -> float:
     if params.k1 > cfg.k_max or params.k2 > cfg.k_max:
         raise ValueError(f"degrees must not exceed k_max={cfg.k_max}")
     pmf = degree_pmf(cfg)
-    m = params.measure
-    M = cfg.dp_mass
-    v_term = m.L * log(M) + (M - 1.0) * float(np.sum(np.log1p(-m.V)))
+    log_tau = log(params.tau)
     # Uniform base measure on the unit square contributes zero.
     return (
-        v_term
+        log_stick_density(cfg, params.measure.V)
         + float(np.log(pmf[params.k1 - 1]))
         + float(np.log(pmf[params.k2 - 1]))
-        + log_inverse_gamma(params.tau, cfg.tau_shape, cfg.tau_rate)
+        + log_tau_density(cfg, log_tau)
+        - log_tau
     )
 
 

@@ -9,9 +9,9 @@ walk on ln tau with Robbins-Monro width tuning.  Every move ends in the
 one Metropolis test ``_Chain._accept``, which draws the uniform, records
 the outcome in the move log and commits the proposal on acceptance; only
 a degree proposal that is out of range or has step 0 is settled without
-a uniform.  Each block's prior term (with its Jacobian) comes from the
-table ``_Chain.prior_term``.  All adaptation freezes at the end of
-burn-in.
+a uniform.  Each block's prior term, its density from ``tvspec.prior``
+plus the chain's own Jacobian, comes from the table ``_Chain.prior_term``.
+All adaptation freezes at the end of burn-in.
 
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import lgamma, log, sqrt
+from math import log, sqrt
 
 import numpy as np
 from scipy.special import expit, logit
 
 from .likelihood import LikelihoodGrid
 from .periodogram import MovingPeriodogramSet
-from .prior import PriorConfig, degree_pmf
+from .prior import PriorConfig, degree_pmf, log_stick_density, log_tau_density
 from .surface import (
     StickBreakingMeasure,
     SurfaceParams,
@@ -74,6 +74,8 @@ class SamplerConfig:
             raise ValueError("need 0 <= burn_in < n_iter")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if (self.n_iter - self.burn_in) // self.thin < 1:
+            raise ValueError("need at least one retained draw: (n_iter - burn_in) // thin >= 1")
         if not self.tau_width_init > 0:
             raise ValueError("tau_width_init must be > 0")
 
@@ -241,13 +243,6 @@ class _Chain:
             return 0.0
         return -self.n_entries * log_tau - A - np.exp(-log_tau) * C
 
-    def _tau_term(self, log_tau) -> float:
-        """Inverse-Gamma log prior on tau plus the d tau / d ln tau Jacobian."""
-        a, b = self.prior_cfg.tau_shape, self.prior_cfg.tau_rate
-        if -log_tau > 700.0:  # exp would overflow; the density is 0 there anyway
-            return -np.inf
-        return a * log(b) - lgamma(a) - a * log_tau - b * np.exp(-log_tau)
-
     def _degree_term(self, k: int) -> float:
         return self.log_pmf[k - 1]
 
@@ -256,24 +251,24 @@ class _Chain:
         prior term of the uniform atoms."""
         return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
 
-    def _v_term(self, zV) -> float:
-        M = self.prior_cfg.dp_mass
-        V = expit(zV)
-        return self.L * log(M) + (M - 1.0) * float(np.sum(np.log1p(-V))) + self._logit_jacobian(zV)
-
-    # Log prior term of each block of the k and z tables, with its Jacobian.
-    # Class-level tables hold plain functions, so a chain is not kept alive
-    # by a reference cycle through its own bound methods.
+    # Log prior term of each block in the chain's coordinates: the density
+    # from tvspec.prior plus the chain's Jacobian (ln tau's is in
+    # log_tau_density).  Class-level tables hold plain functions, so a chain
+    # is not kept alive by a reference cycle through its own bound methods.
     prior_term = {
         "k1": _degree_term,
         "k2": _degree_term,
         "W1": _logit_jacobian,
         "W2": _logit_jacobian,
-        "V": _v_term,
+        "V": lambda self, zV: (
+            log_stick_density(self.prior_cfg, expit(zV)) + self._logit_jacobian(zV)
+        ),
+        "tau": lambda self, log_tau: log_tau_density(self.prior_cfg, log_tau),
     }
 
     def log_posterior(self) -> float:
-        total = self._loglik(self.A, self.C, self.log_tau) + self._tau_term(self.log_tau)
+        total = self._loglik(self.A, self.C, self.log_tau)
+        total += self.prior_term["tau"](self, self.log_tau)
         for name, value in (*self.z.items(), *self.k.items()):
             total += self.prior_term[name](self, value)
         return total
@@ -344,14 +339,15 @@ class _Chain:
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
         lt_new = self.log_tau + (self.rng.uniform() - 0.5) * width
-        prior_new = self._tau_term(lt_new)
+        term = self.prior_term[name]
+        prior_new = term(self, lt_new)
         delta = -np.inf
         if np.isfinite(prior_new):
             delta = (
                 self._loglik(self.A, self.C, lt_new)
                 - self._loglik(self.A, self.C, self.log_tau)
                 + prior_new
-                - self._tau_term(self.log_tau)
+                - term(self, self.log_tau)
             )
         self._accept(name, delta, log_tau=lt_new)
 

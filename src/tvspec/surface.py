@@ -10,7 +10,6 @@ infinity, so evaluation never needs log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 from scipy.special import betainc, gammaln
@@ -47,30 +46,23 @@ def _beta_pdf(y, a, b):
     return np.exp(ln)
 
 
-@cache
-def _norm_const(a: int, b: int, cfg: BetaBasisConfig) -> float:
-    """Normalizing constant of the truncated basis function with shapes (a, b)."""
+def truncated_beta_density(x, a, b, cfg: BetaBasisConfig = DEFAULT_BASIS):
+    """Truncated-dilated beta density on [0, 1] with shapes (a, b) >= 1;
+    broadcasts over x, a and b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all((a >= 1.0) & (b >= 1.0)):
+        raise ValueError("shape parameters must be >= 1")
+    y = cfg.xi_left + np.asarray(x, dtype=float) * (cfg.xi_right - cfg.xi_left)
     mass = betainc(a, b, cfg.xi_right) - betainc(a, b, cfg.xi_left)
-    return (cfg.xi_right - cfg.xi_left) / mass
-
-
-def truncated_beta_density(x, a: int, b: int, cfg: BetaBasisConfig = DEFAULT_BASIS):
-    """Truncated-dilated beta density on [0, 1] with integer shapes (a, b)."""
-    if a < 1 or b < 1:
-        raise ValueError("shape parameters must be integers >= 1")
-    x = np.asarray(x, dtype=float)
-    y = cfg.xi_left + x * (cfg.xi_right - cfg.xi_left)
-    return _norm_const(int(a), int(b), cfg) * _beta_pdf(y, a, b)
+    return (cfg.xi_right - cfg.xi_left) / mass * _beta_pdf(y, a, b)
 
 
 def basis_matrix(x, k: int, cfg: BetaBasisConfig = DEFAULT_BASIS) -> np.ndarray:
     """Truncated basis values beta~(x; j, k-j+1) for j = 1..k, shape (k, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = cfg.xi_left + x * (cfg.xi_right - cfg.xi_left)
     j = np.arange(1, k + 1)[:, None]
-    vals = _beta_pdf(y[None, :], j, k - j + 1)
-    consts = np.array([_norm_const(int(jj), int(k - jj + 1), cfg) for jj in range(1, k + 1)])
-    return consts[:, None] * vals
+    return truncated_beta_density(x[None, :], j, k - j + 1, cfg)
 
 
 def standard_basis_matrix(x, k: int) -> np.ndarray:

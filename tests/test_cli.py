@@ -143,11 +143,22 @@ class TestEstimate:
         assert main(["estimate", "--input", str(short), "--m", "30",
                      "--output-dir", str(tmp_path / "o")]) == 3
 
-    def test_chains_below_one_usage_error(self, tmp_path, series_file):
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--chains", "--time-grid", "--freq-grid"])
+    def test_count_below_one_usage_error(self, tmp_path, series_file, flag, value):
         with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--input", str(series_file), "--chains", "0",
+            main(["estimate", "--input", str(series_file), flag, value,
                   "--output-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    def test_no_retained_draw_fails_before_chain(self, tmp_path, series_file, monkeypatch):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("run_chain called")
+
+        monkeypatch.setattr(tvspec.cli, "run_chain", no_chain)
+        assert main(["estimate", "--input", str(series_file), "--iters", "1000",
+                     "--burnin", "999", "--output-dir", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     def test_chain_workers_capped_and_seeds_spawned(self, tmp_path, series_file, monkeypatch):
         pools = []

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tvspec.prior import (
     PriorConfig,
     degree_pmf,
-    log_inverse_gamma,
     log_prior,
+    log_stick_density,
+    log_tau_density,
     prior_prob_k1_equals_1,
     sample_degree,
     sample_log_tau,
@@ -87,13 +90,27 @@ class TestDegreePmf:
 
 class TestLogInverseGamma:
     def test_against_scipy(self):
+        cfg = PriorConfig(tau_shape=0.001, tau_rate=0.001)
         for tau in (1e-3, 0.5, 2.0, 1e4):
-            ours = log_inverse_gamma(tau, 0.001, 0.001)
+            ours = log_tau_density(cfg, np.log(tau)) - np.log(tau)
             ref = stats.invgamma(a=0.001, scale=0.001).logpdf(tau)
             assert ours == pytest.approx(ref, rel=1e-10)
 
-    def test_nonpositive_tau(self):
-        assert log_inverse_gamma(0.0, 1.0, 1.0) == -np.inf
+    @settings(max_examples=20, deadline=None)
+    @given(lt=st.floats(max_value=-700.0, exclude_max=True, allow_nan=False),
+           a=st.floats(0.001, 10.0), b=st.floats(0.001, 10.0))
+    def test_nonpositive_tau(self, lt, a, b):
+        # tau = 0 and every tau below e^-700 is past the overflow guard.
+        for log_tau in (lt, -np.inf):
+            assert log_tau_density(PriorConfig(tau_shape=a, tau_rate=b), log_tau) == -np.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(lt=st.floats(-5.0, 5.0), a=st.floats(0.001, 10.0), b=st.floats(0.001, 10.0))
+    def test_log_tau_density_matches_scipy(self, lt, a, b):
+        # ln tau has density p_tau(e^lt) e^lt for the Inverse-Gamma p_tau.
+        ours = log_tau_density(PriorConfig(tau_shape=a, tau_rate=b), lt)
+        ref = stats.invgamma(a, scale=b).logpdf(np.exp(lt)) + lt
+        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 class TestLogPrior:
@@ -107,7 +124,7 @@ class TestLogPrior:
         expected = (
             np.log(pmf[params.k1 - 1])
             + np.log(pmf[params.k2 - 1])
-            + log_inverse_gamma(params.tau, cfg.tau_shape, cfg.tau_rate)
+            + stats.invgamma(a=cfg.tau_shape, scale=cfg.tau_rate).logpdf(params.tau)
         )
         assert log_prior(params, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -122,9 +139,17 @@ class TestLogPrior:
             + 1.5 * np.sum(np.log1p(-m.V))
             + np.log(pmf[params.k1 - 1])
             + np.log(pmf[params.k2 - 1])
-            + log_inverse_gamma(params.tau, 1.0, 1.0)
+            + stats.invgamma(a=1.0, scale=1.0).logpdf(params.tau)
         )
         assert log_prior(params, cfg) == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 60), M=st.floats(0.05, 20.0))
+    def test_stick_density_matches_scipy(self, seed, L, M):
+        V = np.random.default_rng(seed).uniform(1e-6, 1.0 - 1e-6, size=L)
+        ref = stats.beta(1.0, M).logpdf(V).sum()
+        ours = log_stick_density(PriorConfig(dp_mass=M), V)
+        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_degree_out_of_range(self):
         rng = np.random.default_rng(53)

@@ -52,6 +52,8 @@ class TestConfig:
             SamplerConfig(n_iter=100, burn_in=100)
         with pytest.raises(ValueError):
             SamplerConfig(thin=0)
+        with pytest.raises(ValueError, match="retained draw"):
+            SamplerConfig(n_iter=1000, burn_in=999, thin=5)
         for width in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="tau_width_init"):
                 SamplerConfig(tau_width_init=width)
@@ -269,7 +271,7 @@ class TestTauMoves:
         pg, grid = make_inputs()
         prior = PriorConfig()
         short = run_chain(
-            pg, grid, prior, SamplerConfig(n_iter=2001, burn_in=2000, seed=12)
+            pg, grid, prior, SamplerConfig(n_iter=2001, burn_in=2000, thin=1, seed=12)
         )
         long = run_chain(
             pg, grid, prior, SamplerConfig(n_iter=6000, burn_in=2000, seed=12)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -80,9 +80,8 @@ class TestTruncatedBetaDensity:
     def test_integrates_to_one_quadrature(self):
         cfg = BetaBasisConfig()
         rng = np.random.default_rng(33)
-        for _ in range(25):
-            a = int(rng.integers(1, 61))
-            b = int(rng.integers(1, 61))
+        shapes = [(int(rng.integers(1, 61)), int(rng.integers(1, 61))) for _ in range(25)]
+        for a, b in shapes + [(2.5, 3)]:  # non-integer shapes are used as given
             val, err = integrate.quad(
                 lambda x: float(truncated_beta_density(x, a, b, cfg)), 0.0, 1.0,
                 limit=200,
@@ -106,14 +105,20 @@ class TestTruncatedBetaDensity:
         with pytest.raises(ValueError):
             truncated_beta_density(0.5, 0, 3)
 
-    def test_matches_scipy_truncated_form(self):
-        cfg = BetaBasisConfig(xi_left=0.2, xi_right=0.7)
-        x = np.linspace(0, 1, 11)
-        a, b = 4, 6
+    # Past these truncation points the k = 100 normalizer loses its digits:
+    # betainc(1, 100, xi_left) rounds towards 1 from xi_left ~ 0.3.
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 100), xi_left=st.floats(0.01, 0.25), xi_right=st.floats(0.75, 0.99))
+    @example(k=9, xi_left=0.2, xi_right=0.7)
+    def test_matches_scipy_truncated_form(self, k, xi_left, xi_right):
+        cfg = BetaBasisConfig(xi_left=xi_left, xi_right=xi_right)
+        x = np.linspace(0, 1, 21)
         y = cfg.xi_left + x * (cfg.xi_right - cfg.xi_left)
-        mass = stats.beta(a, b).cdf(cfg.xi_right) - stats.beta(a, b).cdf(cfg.xi_left)
-        ref = (cfg.xi_right - cfg.xi_left) / mass * stats.beta(a, b).pdf(y)
-        assert np.allclose(truncated_beta_density(x, a, b, cfg), ref, rtol=1e-10)
+        j = np.arange(1, k + 1)[:, None]
+        beta = stats.beta(j, k - j + 1)
+        mass = beta.cdf(cfg.xi_right) - beta.cdf(cfg.xi_left)
+        ref = (cfg.xi_right - cfg.xi_left) / mass * beta.pdf(y)
+        assert np.allclose(basis_matrix(x, k, cfg), ref, rtol=1e-10, atol=0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
