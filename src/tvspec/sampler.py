@@ -13,6 +13,28 @@ a uniform.  Each block's prior term, its density from ``tvspec.prior``
 plus the chain's own Jacobian, comes from the table ``_Chain.prior_term``.
 All adaptation freezes at the end of burn-in.
 
+The sweep is incremental.  Besides the state, the chain caches each block's
+current prior term and, when the likelihood is on, each axis's atom bins,
+the gathered factor rows ``R1 = B_u[bins1 - 1]`` and ``R2 =
+B_lam[bins2 - 1]``, the atom rows ``G = R1 * R2`` and the Whittle terms
+(A, C) of the surface ``p @ G``.  The cache is state like any other: a move
+proposes new entries and ``_accept`` commits them.  What each move
+recomputes:
+
+- k1 or k2: that axis's bins and factor rows (one gather), then ``G`` (one
+  product);
+- W1 or W2: that axis's bins; only the rows whose bin changed are gathered
+  again and rebuilt with ``surface.atom_rows``.  With no bin changed the
+  surface is the same, so A and C are reused and nothing is evaluated;
+- V: the surface ``p' @ G``, with no gather;
+- every move: the new block's prior term only, the old one is cached.
+
+A proposal writes ``G`` and the changed factor rows into the chain's spare
+buffers, and an accepted proposal swaps the spare and current buffers, so a
+sweep allocates no (L+1) x E array.  Every cached value is the same float
+that a recomputation from scratch gives (``check_cache_drift``), so the
+draws are those of a chain that recomputes everything at every move.
+
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
 leaves log space, which keeps prior-only runs stable even though the
@@ -35,9 +57,9 @@ from .surface import (
     StickBreakingMeasure,
     SurfaceParams,
     atom_bins,
+    atom_rows,
     basis_matrix,
     stick_weights,
-    surface_shape,
 )
 
 BLOCK_NAMES = ("k1", "k2", "W1", "W2", "V", "tau")
@@ -55,6 +77,11 @@ WINDOW = 1000  # sweeps per progress call and per acceptance window
 # counts as accepted in the block rates.
 REJECT, ACCEPT, NULL = 1, 2, 3
 COLUMN = {name: col for col, name in enumerate(BLOCK_NAMES)}
+
+# The two atom axes, keyed by their atom block: (k1, W1) bin the u axis and
+# (k2, W2) the lambda axis.
+DEGREE = {"W1": "k1", "W2": "k2"}
+AXIS = {degree: axis for axis, degree in DEGREE.items()}
 
 
 class InitializationError(RuntimeError):
@@ -152,15 +179,16 @@ class _AdaptiveBlock:
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))
+        self.jitter = 1e-10 * np.eye(dim)
         self.chol = None
 
     def update(self, z: np.ndarray):
         self.count += 1
         delta = z - self.mean
         self.mean += delta / self.count
-        self.m2 += np.outer(delta, z - self.mean)
+        self.m2 += delta[:, None] * (z - self.mean)
         if self.count > 2:
-            cov = self.m2 / (self.count - 1) + 1e-10 * np.eye(self.dim)
+            cov = self.m2 / (self.count - 1) + self.jitter
             self.chol = np.linalg.cholesky(cov)
 
 
@@ -179,14 +207,14 @@ class _Chain:
         self.rng = rng
         self.use_likelihood = use_likelihood
         self.mi = periodograms.ordinates[grid.t - 1]
-        self.u, self.lam = grid.u, grid.lam
+        self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
         self.n_entries = len(grid)
         self.L = prior_cfg.truncation_level(grid.m, grid.n_blocks)
         self.log_pmf = np.log(degree_pmf(prior_cfg))
 
-        # Basis matrices at the entries, keyed by degree: at most k_max per axis.
-        self.basis_u: dict[int, np.ndarray] = {}
-        self.basis_lam: dict[int, np.ndarray] = {}
+        # Basis matrices at the entries, per axis keyed by degree: at most
+        # k_max per axis.
+        self.basis: dict[str, dict[int, np.ndarray]] = {axis: {} for axis in self.points}
 
         self._init_state()
         self.adapt = {name: _AdaptiveBlock(z.size) for name, z in self.z.items()}
@@ -199,7 +227,8 @@ class _Chain:
     def _init_state(self):
         k0 = min(INIT_DEGREE, self.prior_cfg.k_max)
         self.k = {"k1": k0, "k2": k0}
-        # log_posterior sums the prior terms in table order: z, then k.
+        # log_posterior sums the prior terms in the order of _fresh_cache:
+        # tau, then z, then k.
         self.z = {
             "V": np.zeros(self.L),  # V = 0.5
             "W1": logit(self.rng.uniform(size=self.L + 1)),
@@ -211,30 +240,49 @@ class _Chain:
             self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
         else:
             self.log_tau = 0.0
-        self.A, self.C = self._whittle_terms(self.k, self.z, self.p)
+        vars(self).update(self._fresh_cache())
+        if self.use_likelihood:
+            # A proposal writes into these; an accepted one swaps them with
+            # the current buffers of the same name.
+            self.spare = {name: np.empty_like(self.G) for name in ("G", *self.rows)}
         if not (np.isfinite(self.A) and np.isfinite(self.C) and np.isfinite(self.log_tau)):
             raise InitializationError("non-finite likelihood terms at initialization")
         if not np.isfinite(self.log_posterior()):
             raise InitializationError("non-finite log-posterior at initialization")
 
-    def _whittle_terms(self, k: dict, z: dict, p: np.ndarray):
-        """(sum ln b_e, sum MI_e / b_e) for the surface shape b (tau factored out)."""
+    def _fresh_cache(self) -> dict:
+        """The cache of the current state, computed from scratch: each block's
+        prior term and the Whittle terms A and C; with the likelihood on, also
+        each axis's bins and factor rows and the atom rows G."""
+        terms = {"tau": self.prior_term["tau"](self, self.log_tau)}
+        for name, value in (*self.z.items(), *self.k.items()):
+            terms[name] = self.prior_term[name](self, value)
         if not self.use_likelihood:
-            return 0.0, 0.0
-        b = surface_shape(
-            p,
-            atom_bins(k["k1"], expit(z["W1"])),
-            atom_bins(k["k2"], expit(z["W2"])),
-            self._basis(self.basis_u, self.u, k["k1"]),
-            self._basis(self.basis_lam, self.lam, k["k2"]),
-        )
+            return {"terms": terms, "A": 0.0, "C": 0.0}
+        bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
+        tables = self._tables(self.k)
+        rows = {axis: tables[axis][bins[axis] - 1] for axis in DEGREE}
+        G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
+        A, C = self._whittle_terms(self.p, G)
+        return {"terms": terms, "bins": bins, "rows": rows, "G": G, "A": A, "C": C}
+
+    def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
+        """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau factored out)."""
+        b = p @ G
         return float(np.sum(np.log(b))), float(np.sum(self.mi / b))
 
-    def _basis(self, cache: dict, points: np.ndarray, k: int) -> np.ndarray:
-        mat = cache.get(k)
-        if mat is None:
-            mat = cache[k] = basis_matrix(points, k, self.prior_cfg.basis)
-        return mat
+    def _tables(self, k: dict) -> dict:
+        """Each axis's (k, E) basis table at the degrees ``k``."""
+        tables = {}
+        for axis, degree in DEGREE.items():
+            cache = self.basis[axis]
+            mat = cache.get(k[degree])
+            if mat is None:
+                mat = cache[k[degree]] = basis_matrix(
+                    self.points[axis], k[degree], self.prior_cfg.basis
+                )
+            tables[axis] = mat
+        return tables
 
     # -- log densities ----------------------------------------------------
 
@@ -268,9 +316,8 @@ class _Chain:
 
     def log_posterior(self) -> float:
         total = self._loglik(self.A, self.C, self.log_tau)
-        total += self.prior_term["tau"](self, self.log_tau)
-        for name, value in (*self.z.items(), *self.k.items()):
-            total += self.prior_term[name](self, value)
+        for term in self.terms.values():
+            total += term
         return total
 
     # -- moves -------------------------------------------------------------
@@ -291,17 +338,67 @@ class _Chain:
         if accepted:
             vars(self).update(proposal)
 
-    def _surface_move(self, name: str, new, old, k: dict, z: dict, p: np.ndarray):
-        """Propose block ``name`` from ``old`` to ``new``; (k, z, p) hold the proposal."""
-        A, C = self._whittle_terms(k, z, p)
-        term = self.prior_term[name]
+    def _surface_move(self, name: str, new, **proposal):
+        """Propose block ``name`` at the value ``new``; ``proposal`` holds the
+        new state and cache entries, with A and C only if the surface changed."""
+        A, C = proposal.get("A", self.A), proposal.get("C", self.C)
+        term = self.prior_term[name](self, new)
         delta = (
             self._loglik(A, C, self.log_tau)
             - self._loglik(self.A, self.C, self.log_tau)
-            + term(self, new)
-            - term(self, old)
+            + term
+            - self.terms[name]
         )
-        self._accept(name, delta, k=k, z=z, p=p, A=A, C=C)
+        self._accept(name, delta, terms={**self.terms, name: term}, **proposal)
+
+    def _new_surface(self, axis: str, bins: dict, rows: dict, G: np.ndarray) -> dict:
+        """Cache entries of a proposal that changed ``axis``: the new bins,
+        factor rows and atom rows G.  ``axis``'s rows and G sit in the spare
+        buffers; on accept the current ones become the spares."""
+        A, C = self._whittle_terms(self.p, G)
+        return {
+            "bins": bins,
+            "rows": rows,
+            "G": G,
+            "spare": {**self.spare, axis: self.rows[axis], "G": self.G},
+            "A": A,
+            "C": C,
+        }
+
+    def _regather(self, axis: str, k: dict) -> dict:
+        """Cache entries after a move of ``axis``'s degree, ``k`` holding the
+        new degrees: its bins and factor rows anew (one gather), then G (one
+        product)."""
+        if not self.use_likelihood:
+            return {}
+        bins = {**self.bins, axis: atom_bins(k[DEGREE[axis]], expit(self.z[axis]))}
+        # Bins lie in 1..k, so "clip" never clips; it lets take write into
+        # the spare buffer without a temporary.
+        table = self._tables(k)[axis]
+        R = np.take(table, bins[axis] - 1, axis=0, out=self.spare[axis], mode="clip")
+        rows = {**self.rows, axis: R}
+        G = np.multiply(rows["W1"], rows["W2"], out=self.spare["G"])
+        return self._new_surface(axis, bins, rows, G)
+
+    def _rebin(self, axis: str, z_new: np.ndarray) -> dict:
+        """Cache entries after a move of ``axis``'s atoms to ``z_new``: only
+        the rows whose bin changed are rebuilt.  With no bin changed the
+        surface is the same, so A and C stay and no entry is proposed."""
+        if not self.use_likelihood:
+            return {}
+        bins = {**self.bins, axis: atom_bins(self.k[DEGREE[axis]], expit(z_new))}
+        changed = np.flatnonzero(bins[axis] != self.bins[axis])
+        if not changed.size:
+            return {}
+        tables = self._tables(self.k)
+        R, G = self.spare[axis], self.spare["G"]
+        R[...] = self.rows[axis]
+        R[changed] = tables[axis][bins[axis][changed] - 1]
+        G[...] = self.G
+        G[changed] = atom_rows(
+            bins["W1"][changed], bins["W2"][changed], tables["W1"], tables["W2"]
+        )
+        return self._new_surface(axis, bins, {**self.rows, axis: R}, G)
 
     def step_degree(self, name: str):
         k_old = self.k[name]
@@ -312,7 +409,8 @@ class _Chain:
             # and a null move (step 0) is recorded as such.
             self._record(name, NULL if k_new == k_old else REJECT)
             return
-        self._surface_move(name, k_new, k_old, {**self.k, name: k_new}, self.z, self.p)
+        k = {**self.k, name: k_new}
+        self._surface_move(name, k_new, k=k, **self._regather(AXIS[name], k))
 
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
@@ -326,30 +424,32 @@ class _Chain:
     def step_logits(self, name: str):
         z_old = self.z[name]
         z_new = z_old + self._propose_increment(name, z_old.size)
-        p = self.p
         if name == "V":
             V = expit(z_new)
             if np.any(V <= 0.0) or np.any(V >= 1.0):
                 # A stick rounded to 0 or 1 has prior density 0.
                 self._accept(name, -np.inf)
                 return
-            p = stick_weights(V)
-        self._surface_move(name, z_new, z_old, self.k, {**self.z, name: z_new}, p)
+            surface = {"p": stick_weights(V)}
+            if self.use_likelihood:
+                surface["A"], surface["C"] = self._whittle_terms(surface["p"], self.G)
+        else:
+            surface = self._rebin(name, z_new)
+        self._surface_move(name, z_new, z={**self.z, name: z_new}, **surface)
 
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
         lt_new = self.log_tau + (self.rng.uniform() - 0.5) * width
-        term = self.prior_term[name]
-        prior_new = term(self, lt_new)
+        prior_new = self.prior_term[name](self, lt_new)
         delta = -np.inf
         if np.isfinite(prior_new):
             delta = (
                 self._loglik(self.A, self.C, lt_new)
                 - self._loglik(self.A, self.C, self.log_tau)
                 + prior_new
-                - term(self, self.log_tau)
+                - self.terms[name]
             )
-        self._accept(name, delta, log_tau=lt_new)
+        self._accept(name, delta, log_tau=lt_new, terms={**self.terms, name: prior_new})
 
         # Robbins-Monro width tuning on each batch of sweeps, burn-in only.
         it = self.iteration
@@ -377,10 +477,22 @@ class _Chain:
                 blk.update(self.z[name])
 
     def check_cache_drift(self):
-        A, C = self._whittle_terms(self.k, self.z, self.p)
+        """Raise AssertionError unless the cache equals a recomputation from
+        scratch: bins, factor rows, G and prior terms exactly, A and C to a
+        relative 1e-8."""
+        fresh = self._fresh_cache()
+        A, C = fresh.pop("A"), fresh.pop("C")
         drift = max(abs(A - self.A), abs(C - self.C))
         if drift > 1e-8 * max(1.0, abs(self.A), abs(self.C)):
             raise AssertionError(f"cached likelihood terms drifted by {drift}")
+        for key, value in fresh.items():
+            cached = vars(self)[key]
+            if isinstance(value, dict):
+                same = all(np.array_equal(cached[part], v) for part, v in value.items())
+            else:
+                same = np.array_equal(cached, value)
+            if not same:
+                raise AssertionError(f"cached {key!r} differs from a recomputation")
 
 
 def run_chain(

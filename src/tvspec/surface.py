@@ -82,8 +82,13 @@ def stick_weights(V) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.size and (np.any(V <= 0.0) | np.any(V >= 1.0)):
         raise ValueError("sticks must lie strictly inside (0, 1)")
-    remain = np.concatenate((np.ones(V.shape[:-1] + (1,)), np.cumprod(1.0 - V, axis=-1)), axis=-1)
-    return np.concatenate((remain[..., -1:], remain[..., :-1] * V), axis=-1)
+    L = V.shape[-1]
+    remain = np.cumprod(1.0 - V, axis=-1)  # remain[..., l] = prod_{r<=l} (1 - V_r)
+    p = np.empty(V.shape[:-1] + (L + 1,))
+    p[..., 0] = remain[..., -1] if L else 1.0
+    p[..., 1:2] = V[..., :1]
+    np.multiply(remain[..., :-1], V[..., 1:], out=p[..., 2:])
+    return p
 
 
 @dataclass(frozen=True)
@@ -156,13 +161,22 @@ def weights_from_measure(k1: int, k2: int, measure: StickBreakingMeasure) -> np.
     return bin_masses(p[None], b1[None], b2[None], k1, k2)[0]
 
 
-def surface_shape(p, bins1, bins2, B_u, B_lam) -> np.ndarray:
-    """Surface divided by tau at E points: sum_l p_l B_u[bins1_l] * B_lam[bins2_l].
+def atom_rows(bins1, bins2, B_u, B_lam) -> np.ndarray:
+    """Each atom's tensor basis function at E points: row l is
+    B_u[bins1_l - 1] * B_lam[bins2_l - 1].
 
-    ``bins1`` and ``bins2`` are the 1-based atom bins from ``atom_bins``;
-    the entry-aligned (k, E) basis tables have one row per degree index.
+    ``bins1`` and ``bins2`` are 1-based atom bins from ``atom_bins`` (any
+    subset of the atoms); the entry-aligned (k, E) basis tables have one row
+    per degree index.  The sampler caches these rows and rebuilds only the
+    ones whose bin a move changed.
     """
-    return p @ (B_u[bins1 - 1] * B_lam[bins2 - 1])
+    return B_u[bins1 - 1] * B_lam[bins2 - 1]
+
+
+def surface_shape(p, bins1, bins2, B_u, B_lam) -> np.ndarray:
+    """Surface divided by tau at E points: the weights ``p`` contracted with
+    the atom rows, sum_l p_l B_u[bins1_l] * B_lam[bins2_l]."""
+    return p @ atom_rows(bins1, bins2, B_u, B_lam)
 
 
 def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:

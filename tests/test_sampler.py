@@ -172,6 +172,31 @@ class TestCacheGuard:
             chain.sweep()
         assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
 
+    @pytest.mark.parametrize("use_likelihood", [True, False])
+    @pytest.mark.parametrize("k_max", [100, 1])  # k_max = 1 puts every atom in bin 1
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rebuilt_cache_gives_the_same_draws(self, seed, use_likelihood, k_max):
+        # A chain that throws its cache away after every move and rebuilds it
+        # from scratch must draw exactly what the incremental chain draws.
+        pg, grid = shared_inputs()
+        prior = PriorConfig(k_max=k_max)
+        cfg = SamplerConfig(n_iter=ADAPT_START + 200, burn_in=ADAPT_START + 100, thin=1, seed=seed)
+        plain = run_chain(pg, grid, prior, cfg, use_likelihood=use_likelihood)
+
+        def rebuilt(move):
+            def run(chain, name):
+                move(chain, name)
+                vars(chain).update(chain._fresh_cache())
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Chain, "moves", {name: rebuilt(m) for name, m in _Chain.moves.items()})
+            fresh = run_chain(pg, grid, prior, cfg, use_likelihood=use_likelihood)
+        for name in ("k1", "k2", "log_tau", "V", "W1", "W2", "log_post", "move_log"):
+            assert np.array_equal(getattr(fresh, name), getattr(plain, name)), name
+        assert fresh.tau_width_final == plain.tau_width_final
+
 
 class TestLogPosterior:
     @settings(max_examples=10, deadline=None)

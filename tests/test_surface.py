@@ -63,6 +63,18 @@ class TestStickWeights:
             assert np.all(p >= 0.0)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(20,), (1000, 20), (5, 1), (7, 2), (3, 0), (0,)]),
+           seed=st.integers(0, 2**32 - 1), tiny=st.booleans())
+    def test_matches_concatenated_products(self, shape, seed, tiny):
+        # Reference: the remainders (1, 1 - V_1, ...) stacked with a column of
+        # ones, then p_0 = the last remainder and p_l = remainder_{l-1} * V_l.
+        rng = np.random.default_rng(seed)
+        V = rng.uniform(1e-12, 1e-6, shape) if tiny else rng.uniform(1e-9, 1.0 - 1e-9, shape)
+        remain = np.concatenate((np.ones(shape[:-1] + (1,)), np.cumprod(1.0 - V, axis=-1)), axis=-1)
+        expected = np.concatenate((remain[..., -1:], remain[..., :-1] * V), axis=-1)
+        assert np.array_equal(stick_weights(V), expected)
+
     def test_leading_axes_match_rows(self):
         rng = np.random.default_rng(33)
         V = rng.uniform(1e-6, 1.0 - 1e-6, size=(4, 5, 7))
