@@ -5,35 +5,37 @@ the logit-transformed blocks ``z`` ({V, W1, W2}), plus ln tau.  A sweep
 runs the move table ``_Chain.moves`` in the order of ``BLOCK_NAMES``:
 a symmetrized Poisson random walk on each degree, a Roberts-Rosenthal
 adaptive Gaussian random walk on each logit block and a uniform random
-walk on ln tau with Robbins-Monro width tuning.  Every move ends in the
-one Metropolis test ``_Chain._accept``, which draws the uniform, records
-the outcome in the move log and commits the proposal on acceptance; only
-a degree proposal that is out of range or has step 0 is settled without
-a uniform.  Each block's prior term, its density from ``tvspec.prior``
-plus the chain's own Jacobian, comes from the table ``_Chain.prior_term``.
-All adaptation freezes at the end of burn-in.
+walk on ln tau with Robbins-Monro width tuning.  Every move that gets
+as far as a proposal is scored by the one log ratio in ``_Chain._propose``
+and settled by the one Metropolis test ``_Chain._accept``, which draws the
+uniform, records the outcome in the move log and commits the proposal on
+acceptance; only a degree proposal that is out of range or has step 0 is
+settled without a uniform.  Each block's prior term, its density from
+``tvspec.prior`` plus the chain's own Jacobian, comes from the table
+``_Chain.prior_term``.  All adaptation freezes at the end of burn-in.
 
 The sweep is incremental.  Besides the state, the chain caches each block's
 current prior term and, when the likelihood is on, each axis's atom bins,
-the gathered factor rows ``R1 = B_u[bins1 - 1]`` and ``R2 =
-B_lam[bins2 - 1]``, the atom rows ``G = R1 * R2`` and the Whittle terms
-(A, C) of the surface ``p @ G``.  The cache is state like any other: a move
-proposes new entries and ``_accept`` commits them.  What each move
+the atom rows ``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the Whittle
+terms (A, C) of the surface ``p @ G``.  The cache is state like any other:
+a move proposes new entries and ``_accept`` commits them.  What each move
 recomputes:
 
-- k1 or k2: that axis's bins and factor rows (one gather), then ``G`` (one
-  product);
-- W1 or W2: that axis's bins; only the rows whose bin changed are gathered
-  again and rebuilt with ``surface.atom_rows``.  With no bin changed the
-  surface is the same, so A and C are reused and nothing is evaluated;
+- k1 or k2: that axis's bins, then every row of ``G`` (two gathers and one
+  product), since the new degree reads another basis table;
+- W1 or W2: that axis's bins; only the rows whose bin changed are rebuilt
+  with ``surface.atom_rows``.  With no bin changed the surface is the same,
+  so A and C are reused and nothing is evaluated;
 - V: the surface ``p' @ G``, with no gather;
 - every move: the new block's prior term only, the old one is cached.
 
-A proposal writes ``G`` and the changed factor rows into the chain's spare
-buffers, and an accepted proposal swaps the spare and current buffers, so a
-sweep allocates no (L+1) x E array.  Every cached value is the same float
-that a recomputation from scratch gives (``check_cache_drift``), so the
-draws are those of a chain that recomputes everything at every move.
+Both k and W moves go through ``_Chain._rebin``.  A proposal writes its
+``G`` into the chain's spare buffer (a degree move gathers its second
+factor into a scratch buffer), and an accepted proposal swaps the spare and
+current ``G``, so a sweep allocates no (L+1) x E array.  Every cached value
+is the same float that a recomputation from scratch gives
+(``check_cache_drift``), so the draws are those of a chain that recomputes
+everything at every move.
 
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
@@ -175,7 +177,6 @@ class _AdaptiveBlock:
     """Running mean/covariance of a block's past draws (Welford)."""
 
     def __init__(self, dim: int):
-        self.dim = dim
         self.count = 0
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))
@@ -199,12 +200,11 @@ class _Chain:
         grid: LikelihoodGrid,
         prior_cfg: PriorConfig,
         cfg: SamplerConfig,
-        rng: np.random.Generator,
         use_likelihood: bool,
     ):
         self.prior_cfg = prior_cfg
         self.cfg = cfg
-        self.rng = rng
+        self.rng = np.random.default_rng(cfg.seed)
         self.use_likelihood = use_likelihood
         self.mi = periodograms.ordinates[grid.t - 1]
         self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
@@ -242,9 +242,10 @@ class _Chain:
             self.log_tau = 0.0
         vars(self).update(self._fresh_cache())
         if self.use_likelihood:
-            # A proposal writes into these; an accepted one swaps them with
-            # the current buffers of the same name.
-            self.spare = {name: np.empty_like(self.G) for name in ("G", *self.rows)}
+            # A proposal writes its G into spare, which an accepted one swaps
+            # with the current G; scratch is never swapped.
+            self.spare = np.empty_like(self.G)
+            self.scratch = np.empty_like(self.G)
         if not (np.isfinite(self.A) and np.isfinite(self.C) and np.isfinite(self.log_tau)):
             raise InitializationError("non-finite likelihood terms at initialization")
         if not np.isfinite(self.log_posterior()):
@@ -253,7 +254,7 @@ class _Chain:
     def _fresh_cache(self) -> dict:
         """The cache of the current state, computed from scratch: each block's
         prior term and the Whittle terms A and C; with the likelihood on, also
-        each axis's bins and factor rows and the atom rows G."""
+        each axis's bins and the atom rows G."""
         terms = {"tau": self.prior_term["tau"](self, self.log_tau)}
         for name, value in (*self.z.items(), *self.k.items()):
             terms[name] = self.prior_term[name](self, value)
@@ -261,10 +262,9 @@ class _Chain:
             return {"terms": terms, "A": 0.0, "C": 0.0}
         bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
         tables = self._tables(self.k)
-        rows = {axis: tables[axis][bins[axis] - 1] for axis in DEGREE}
         G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
         A, C = self._whittle_terms(self.p, G)
-        return {"terms": terms, "bins": bins, "rows": rows, "G": G, "A": A, "C": C}
+        return {"terms": terms, "bins": bins, "G": G, "A": A, "C": C}
 
     def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau factored out)."""
@@ -338,67 +338,49 @@ class _Chain:
         if accepted:
             vars(self).update(proposal)
 
-    def _surface_move(self, name: str, new, **proposal):
-        """Propose block ``name`` at the value ``new``; ``proposal`` holds the
-        new state and cache entries, with A and C only if the surface changed."""
-        A, C = proposal.get("A", self.A), proposal.get("C", self.C)
+    def _propose(self, name: str, new, **proposal):
+        """Metropolis step for block ``name`` at the value ``new``; ``proposal``
+        holds the new state and cache entries.  A, C and ln tau come from it
+        where it has them, else from the state; a proposal whose prior term is
+        not finite is rejected unscored."""
         term = self.prior_term[name](self, new)
-        delta = (
-            self._loglik(A, C, self.log_tau)
-            - self._loglik(self.A, self.C, self.log_tau)
-            + term
-            - self.terms[name]
-        )
+        delta = -np.inf
+        if np.isfinite(term):
+            A, C = proposal.get("A", self.A), proposal.get("C", self.C)
+            delta = (
+                self._loglik(A, C, proposal.get("log_tau", self.log_tau))
+                - self._loglik(self.A, self.C, self.log_tau)
+                + term
+                - self.terms[name]
+            )
         self._accept(name, delta, terms={**self.terms, name: term}, **proposal)
 
-    def _new_surface(self, axis: str, bins: dict, rows: dict, G: np.ndarray) -> dict:
-        """Cache entries of a proposal that changed ``axis``: the new bins,
-        factor rows and atom rows G.  ``axis``'s rows and G sit in the spare
-        buffers; on accept the current ones become the spares."""
+    def _rebin(self, axis: str, k: dict, z: dict) -> dict:
+        """Cache entries of a move of ``axis``'s degree or atoms to the degrees
+        ``k`` and logits ``z``: bins, G in the spare buffer (the current G is
+        the spare on accept), A and C.  A degree move rebuilds every row of G,
+        as the new degree reads another basis table; an atom move only the
+        rows whose bin changed, and with none changed it proposes nothing."""
+        if not self.use_likelihood:
+            return {}
+        bins = {**self.bins, axis: atom_bins(k[DEGREE[axis]], expit(z[axis]))}
+        tables = self._tables(k)
+        G = self.spare
+        if k[DEGREE[axis]] != self.k[DEGREE[axis]]:
+            # Bins lie in 1..k, so "clip" never clips; it lets take write into
+            # the buffers without a temporary.
+            np.take(tables["W1"], bins["W1"] - 1, axis=0, out=G, mode="clip")
+            G *= np.take(tables["W2"], bins["W2"] - 1, axis=0, out=self.scratch, mode="clip")
+        else:
+            changed = np.flatnonzero(bins[axis] != self.bins[axis])
+            if not changed.size:
+                return {}
+            G[...] = self.G
+            G[changed] = atom_rows(
+                bins["W1"][changed], bins["W2"][changed], tables["W1"], tables["W2"]
+            )
         A, C = self._whittle_terms(self.p, G)
-        return {
-            "bins": bins,
-            "rows": rows,
-            "G": G,
-            "spare": {**self.spare, axis: self.rows[axis], "G": self.G},
-            "A": A,
-            "C": C,
-        }
-
-    def _regather(self, axis: str, k: dict) -> dict:
-        """Cache entries after a move of ``axis``'s degree, ``k`` holding the
-        new degrees: its bins and factor rows anew (one gather), then G (one
-        product)."""
-        if not self.use_likelihood:
-            return {}
-        bins = {**self.bins, axis: atom_bins(k[DEGREE[axis]], expit(self.z[axis]))}
-        # Bins lie in 1..k, so "clip" never clips; it lets take write into
-        # the spare buffer without a temporary.
-        table = self._tables(k)[axis]
-        R = np.take(table, bins[axis] - 1, axis=0, out=self.spare[axis], mode="clip")
-        rows = {**self.rows, axis: R}
-        G = np.multiply(rows["W1"], rows["W2"], out=self.spare["G"])
-        return self._new_surface(axis, bins, rows, G)
-
-    def _rebin(self, axis: str, z_new: np.ndarray) -> dict:
-        """Cache entries after a move of ``axis``'s atoms to ``z_new``: only
-        the rows whose bin changed are rebuilt.  With no bin changed the
-        surface is the same, so A and C stay and no entry is proposed."""
-        if not self.use_likelihood:
-            return {}
-        bins = {**self.bins, axis: atom_bins(self.k[DEGREE[axis]], expit(z_new))}
-        changed = np.flatnonzero(bins[axis] != self.bins[axis])
-        if not changed.size:
-            return {}
-        tables = self._tables(self.k)
-        R, G = self.spare[axis], self.spare["G"]
-        R[...] = self.rows[axis]
-        R[changed] = tables[axis][bins[axis][changed] - 1]
-        G[...] = self.G
-        G[changed] = atom_rows(
-            bins["W1"][changed], bins["W2"][changed], tables["W1"], tables["W2"]
-        )
-        return self._new_surface(axis, bins, {**self.rows, axis: R}, G)
+        return {"bins": bins, "G": G, "spare": self.G, "A": A, "C": C}
 
     def step_degree(self, name: str):
         k_old = self.k[name]
@@ -410,7 +392,7 @@ class _Chain:
             self._record(name, NULL if k_new == k_old else REJECT)
             return
         k = {**self.k, name: k_new}
-        self._surface_move(name, k_new, k=k, **self._regather(AXIS[name], k))
+        self._propose(name, k_new, k=k, **self._rebin(AXIS[name], k, self.z))
 
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
@@ -424,6 +406,7 @@ class _Chain:
     def step_logits(self, name: str):
         z_old = self.z[name]
         z_new = z_old + self._propose_increment(name, z_old.size)
+        z = {**self.z, name: z_new}
         if name == "V":
             V = expit(z_new)
             if np.any(V <= 0.0) or np.any(V >= 1.0):
@@ -434,22 +417,13 @@ class _Chain:
             if self.use_likelihood:
                 surface["A"], surface["C"] = self._whittle_terms(surface["p"], self.G)
         else:
-            surface = self._rebin(name, z_new)
-        self._surface_move(name, z_new, z={**self.z, name: z_new}, **surface)
+            surface = self._rebin(name, self.k, z)
+        self._propose(name, z_new, z=z, **surface)
 
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
         lt_new = self.log_tau + (self.rng.uniform() - 0.5) * width
-        prior_new = self.prior_term[name](self, lt_new)
-        delta = -np.inf
-        if np.isfinite(prior_new):
-            delta = (
-                self._loglik(self.A, self.C, lt_new)
-                - self._loglik(self.A, self.C, self.log_tau)
-                + prior_new
-                - self.terms[name]
-            )
-        self._accept(name, delta, log_tau=lt_new, terms={**self.terms, name: prior_new})
+        self._propose(name, lt_new, log_tau=lt_new)
 
         # Robbins-Monro width tuning on each batch of sweeps, burn-in only.
         it = self.iteration
@@ -478,7 +452,7 @@ class _Chain:
 
     def check_cache_drift(self):
         """Raise AssertionError unless the cache equals a recomputation from
-        scratch: bins, factor rows, G and prior terms exactly, A and C to a
+        scratch: bins, G and prior terms exactly, A and C to a
         relative 1e-8."""
         fresh = self._fresh_cache()
         A, C = fresh.pop("A"), fresh.pop("C")
@@ -509,9 +483,8 @@ def run_chain(
     acceptance_rates) every WINDOW sweeps, with the block rates so far.
     Fully deterministic for a given ``sampler_cfg.seed``.
     """
-    rng = np.random.default_rng(sampler_cfg.seed)
     start = time.perf_counter()
-    chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg, rng, use_likelihood)
+    chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg, use_likelihood)
 
     n_keep = (sampler_cfg.n_iter - sampler_cfg.burn_in) // sampler_cfg.thin
     out = PosteriorSampleSet(

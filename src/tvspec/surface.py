@@ -167,8 +167,8 @@ def atom_rows(bins1, bins2, B_u, B_lam) -> np.ndarray:
 
     ``bins1`` and ``bins2`` are 1-based atom bins from ``atom_bins`` (any
     subset of the atoms); the entry-aligned (k, E) basis tables have one row
-    per degree index.  The sampler caches these rows and rebuilds only the
-    ones whose bin a move changed.
+    per degree index.  The sampler caches the rows of all atoms; an atom
+    move rebuilds here only the ones whose bin it changed.
     """
     return B_u[bins1 - 1] * B_lam[bins2 - 1]
 

@@ -39,6 +39,30 @@ def run_estimate(tmp_path, series_path, out_name, extra=()):
     return out
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Runs --chains work in this process; returns the requested worker counts."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(tvspec.cli, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def series_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "series.csv"
@@ -160,40 +184,35 @@ class TestEstimate:
                      "--burnin", "999", "--output-dir", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
-    def test_chain_workers_capped_and_seeds_spawned(self, tmp_path, series_file, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """Runs submitted work in this process; records the requested workers."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(tvspec.cli, "ProcessPoolExecutor", InlinePool)
+    def test_chain_workers_capped_and_seeds_spawned(self, tmp_path, series_file, monkeypatch,
+                                                     inline_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out = tmp_path / "chains"
         assert main(["estimate", "--input", str(series_file), "--m", "15",
                      "--thinning", "1", "--iters", "300", "--burnin", "100",
                      "--seed", "5", "--time-grid", "5", "--freq-grid", "5",
                      "--chains", "3", "--output-dir", str(out)]) == 0
-        assert pools == [2]
+        assert inline_pool == [2]
         spawned = [int(c.generate_state(1, np.uint64)[0])
                    for c in np.random.SeedSequence(5).spawn(3)]
         recorded = [json.loads((out / f"chain_{c:02d}" / "metadata.json").read_text())
                     ["config"]["seed"] for c in range(3)]
         assert recorded == spawned
         assert len(set(recorded)) == 3
+
+    def test_chain_reruns_alone_from_its_recorded_seed(self, tmp_path, series_file, inline_pool):
+        argv = ["estimate", "--input", str(series_file), "--m", "15", "--thinning", "1",
+                "--iters", "300", "--burnin", "100", "--time-grid", "5", "--freq-grid", "5"]
+        multi = tmp_path / "multi"
+        assert main(argv + ["--seed", "5", "--chains", "2", "--output-dir", str(multi)]) == 0
+        chain = multi / "chain_01"
+        meta = json.loads((chain / "metadata.json").read_text())
+        alone = tmp_path / "alone"
+        assert main(argv + ["--seed", str(meta["config"]["seed"]),
+                            "--output-dir", str(alone)]) == 0
+        rerun = json.loads((alone / "metadata.json").read_text())
+        assert (alone / "surface.csv").read_bytes() == (chain / "surface.csv").read_bytes()
+        assert rerun["bayes_factor_01"] == meta["bayes_factor_01"]
 
     def test_headerless_input_accepted(self, tmp_path):
         raw = tmp_path / "raw.csv"

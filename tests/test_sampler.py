@@ -132,8 +132,7 @@ class TestBookkeeping:
     def test_cached_posterior_no_drift(self):
         pg, grid = make_inputs()
         cfg = SamplerConfig(n_iter=3000, burn_in=1000, seed=6)
-        chain = _Chain(pg, grid, PriorConfig(), cfg, np.random.default_rng(cfg.seed),
-                       use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), cfg, use_likelihood=True)
         for it in range(1, cfg.n_iter + 1):
             chain.sweep()
             if it % 250 == 0:
@@ -142,8 +141,7 @@ class TestBookkeeping:
     def test_move_outside_sweep_raises(self):
         # Before the first sweep there is no log row to record in.
         pg, grid = shared_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=17),
-                       np.random.default_rng(17), use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=17), use_likelihood=True)
         for name, move in chain.moves.items():
             with pytest.raises(RuntimeError, match="outside sweep"):
                 move(chain, name)
@@ -155,8 +153,7 @@ class TestCacheGuard:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_cached_terms_match_recomputation_after_every_move(self, seed):
         pg, grid = shared_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=seed),
-                       np.random.default_rng(seed), use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=seed), use_likelihood=True)
         checks = dict.fromkeys(BLOCK_NAMES, 0)
 
         def checked(move):
@@ -205,8 +202,7 @@ class TestLogPosterior:
     def test_matches_public_pieces(self, seed, sweeps, use_likelihood):
         pg, grid = shared_inputs()
         prior = PriorConfig()
-        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed),
-                       np.random.default_rng(seed), use_likelihood=use_likelihood)
+        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed), use_likelihood=use_likelihood)
         for _ in range(sweeps):
             chain.sweep()
         z = chain.z
@@ -229,8 +225,7 @@ class TestLogPosterior:
 class TestStickMoves:
     def test_stick_rounding_to_one_is_rejected(self):
         pg, grid = make_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16),
-                       np.random.default_rng(16), use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16), use_likelihood=True)
         chain._propose_increment = lambda name, dim: np.full(dim, 40.0)
         zV, A, C = chain.z["V"].copy(), chain.A, chain.C
         expected_rng = copy.deepcopy(chain.rng)
