@@ -33,10 +33,26 @@ from .signal import (
 from .surface import BetaBasisConfig
 
 FLOAT_FMT = "%.17g"
+WRITE_ROWS = 1024  # rows per block of _write_table
 
 
 class DataError(RuntimeError):
     """Input data problem; maps to exit code 3."""
+
+
+def _write_table(path: Path, table: np.ndarray, fmt, header: str):
+    """Write a 2-D table as CSV under a one-line header, byte for byte as
+    ``np.savetxt(path, table, fmt=fmt, delimiter=",", header=header,
+    comments="")`` does; ``fmt`` is one format for every column or one per
+    column.  Each block of WRITE_ROWS rows is formatted by a single ``%``
+    over its values, not one per row; formatting the whole table at once
+    would hold a Python float per value."""
+    row = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), WRITE_ROWS):
+            block = table[lo : lo + WRITE_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _default_seed(args_seed) -> int:
@@ -81,7 +97,7 @@ def cmd_simulate(args) -> int:
     spec = DgpSpec(model=args.dgp, innovation=InnovationSpec(args.innov), T=args.T)
     series = simulate_dgp(spec, np.random.default_rng(seed))
     out = Path(args.output)
-    np.savetxt(out, series.values, fmt=FLOAT_FMT, header="x", comments="")
+    _write_table(out, series.values[:, None], FLOAT_FMT, "x")
     print(f"wrote {len(series)} samples to {out} (seed {seed})")
     return 0
 
@@ -95,13 +111,11 @@ def cmd_periodogram(args) -> int:
     out = Path(args.output)
     t = np.arange(1, pg.T + 1)
     j = pg.frequency_index(t)
-    np.savetxt(
+    _write_table(
         out,
         np.column_stack((t, t / pg.T, j, pg.frequencies[j - 1], pg.ordinates)),
-        fmt=("%d", FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT),
-        delimiter=",",
-        header="t,u,lambda_index,lambda,MI",
-        comments="",
+        ("%d", FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT),
+        "t,u,lambda_index,lambda,MI",
     )
     print(f"wrote {pg.T} ordinates to {out}")
     return 0
@@ -145,13 +159,11 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     uu, ll = np.meshgrid(time_grid, freq_grid, indexing="ij")
     columns = (uu, ll, summary.mean, summary.median, summary.q05, summary.q95)
-    np.savetxt(
+    _write_table(
         out_dir / "surface.csv",
         np.column_stack([c.ravel() for c in columns]),
-        fmt=FLOAT_FMT,
-        delimiter=",",
-        header="u,lambda,mean,median,q05,q95",
-        comments="",
+        FLOAT_FMT,
+        "u,lambda,mean,median,q05,q95",
     )
     if args.save_draws:
         np.savez_compressed(
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--kmax", type=int, default=100)
     p_est.add_argument("--xi-l", dest="xi_l", type=float, default=0.1)
     p_est.add_argument("--xi-r", dest="xi_r", type=float, default=0.9)
-    p_est.add_argument("--truncation-L", dest="truncation_L", type=int, default=None)
+    p_est.add_argument("--truncation-L", dest="truncation_L", type=_positive_int, default=None)
     p_est.add_argument("--time-grid", dest="time_grid", type=_positive_int, default=201)
     p_est.add_argument("--freq-grid", dest="freq_grid", type=_positive_int, default=101)
     p_est.add_argument("--output-dir", dest="output_dir", default="tvspec-run")

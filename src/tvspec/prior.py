@@ -36,6 +36,8 @@ class PriorConfig:
         for name in ("degree_decay", "dp_mass", "tau_shape", "tau_rate"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.truncation_override is not None and self.truncation_override < 1:
+            raise ValueError("truncation_override must be >= 1")
 
     def truncation_level(self, m: int, n_blocks: int) -> int:
         """Stick-breaking truncation L = max(20, ceil((m B_i)^(1/3)))."""
@@ -90,7 +92,7 @@ def log_tau_density(cfg: PriorConfig, log_tau: float) -> float:
 def log_stick_density(cfg: PriorConfig, V: np.ndarray) -> float:
     """Log density of the sticks V, independent Beta(1, dp_mass)."""
     M = cfg.dp_mass
-    return V.size * log(M) + (M - 1.0) * float(np.sum(np.log1p(-V)))
+    return V.size * log(M) + (M - 1.0) * float(np.log1p(-V).sum())
 
 
 def log_prior(params: SurfaceParams, cfg: PriorConfig) -> float:

@@ -15,11 +15,11 @@ settled without a uniform.  Each block's prior term, its density from
 ``_Chain.prior_term``.  All adaptation freezes at the end of burn-in.
 
 The sweep is incremental.  Besides the state, the chain caches each block's
-current prior term and, when the likelihood is on, each axis's atom bins,
-the atom rows ``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the Whittle
-terms (A, C) of the surface ``p @ G``.  The cache is state like any other:
-a move proposes new entries and ``_accept`` commits them.  What each move
-recomputes:
+current prior term and the current log-likelihood ``ll`` and, when the
+likelihood is on, each axis's atom bins, the atom rows
+``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the Whittle terms (A, C) of
+the surface ``p @ G``.  The cache is state like any other: a move proposes
+new entries and ``_accept`` commits them.  What each move recomputes:
 
 - k1 or k2: that axis's bins, then every row of ``G`` (two gathers and one
   product), since the new degree reads another basis table;
@@ -27,12 +27,16 @@ recomputes:
   with ``surface.atom_rows``.  With no bin changed the surface is the same,
   so A and C are reused and nothing is evaluated;
 - V: the surface ``p' @ G``, with no gather;
-- every move: the new block's prior term only, the old one is cached.
+- every move: the new block's prior term only, the old one is cached, and
+  the log-likelihood of the proposal only, the current one is ``ll``.
 
 Both k and W moves go through ``_Chain._rebin``.  A proposal writes its
 ``G`` into the chain's spare buffer (a degree move gathers its second
 factor into a scratch buffer), and an accepted proposal swaps the spare and
-current ``G``, so a sweep allocates no (L+1) x E array.  Every cached value
+current ``G``, so a sweep allocates no (L+1) x E array.  The Whittle terms
+are summed from two E-vectors the chain owns: the surface ``p @ G`` is
+written into one and ``ln b`` or ``MI / b`` into the other, so a surface
+evaluation allocates no E-vector either.  Every cached value
 is the same float that a recomputation from scratch gives
 (``check_cache_drift``), so the draws are those of a chain that recomputes
 everything at every move.
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import log, sqrt
+from math import inf, isfinite, log, sqrt
 
 import numpy as np
 from scipy.special import expit, logit
@@ -181,6 +185,7 @@ class _AdaptiveBlock:
         self.mean = np.zeros(dim)
         self.m2 = np.zeros((dim, dim))
         self.jitter = 1e-10 * np.eye(dim)
+        self.cov = np.empty((dim, dim))
         self.chol = None
 
     def update(self, z: np.ndarray):
@@ -189,8 +194,9 @@ class _AdaptiveBlock:
         self.mean += delta / self.count
         self.m2 += delta[:, None] * (z - self.mean)
         if self.count > 2:
-            cov = self.m2 / (self.count - 1) + self.jitter
-            self.chol = np.linalg.cholesky(cov)
+            np.divide(self.m2, self.count - 1, out=self.cov)
+            self.cov += self.jitter
+            self.chol = np.linalg.cholesky(self.cov)
 
 
 class _Chain:
@@ -209,6 +215,10 @@ class _Chain:
         self.mi = periodograms.ordinates[grid.t - 1]
         self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
         self.n_entries = len(grid)
+        # The surface b = p @ G and the summands ln b or MI / b of the Whittle
+        # terms, written in place by _whittle_terms.
+        self.shape_buf = np.empty(self.n_entries)
+        self.term_buf = np.empty(self.n_entries)
         self.L = prior_cfg.truncation_level(grid.m, grid.n_blocks)
         self.log_pmf = np.log(degree_pmf(prior_cfg))
 
@@ -253,23 +263,26 @@ class _Chain:
 
     def _fresh_cache(self) -> dict:
         """The cache of the current state, computed from scratch: each block's
-        prior term and the Whittle terms A and C; with the likelihood on, also
-        each axis's bins and the atom rows G."""
+        prior term, the Whittle terms A and C and the log-likelihood ll; with
+        the likelihood on, also each axis's bins and the atom rows G."""
         terms = {"tau": self.prior_term["tau"](self, self.log_tau)}
         for name, value in (*self.z.items(), *self.k.items()):
             terms[name] = self.prior_term[name](self, value)
         if not self.use_likelihood:
-            return {"terms": terms, "A": 0.0, "C": 0.0}
+            return {"terms": terms, "A": 0.0, "C": 0.0, "ll": 0.0}
         bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
         tables = self._tables(self.k)
         G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
         A, C = self._whittle_terms(self.p, G)
-        return {"terms": terms, "bins": bins, "G": G, "A": A, "C": C}
+        ll = self._loglik(A, C, self.log_tau)
+        return {"terms": terms, "bins": bins, "G": G, "A": A, "C": C, "ll": ll}
 
     def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
-        """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau factored out)."""
-        b = p @ G
-        return float(np.sum(np.log(b))), float(np.sum(self.mi / b))
+        """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau
+        factored out), computed in the chain's two E-vectors."""
+        b, t = self.shape_buf, self.term_buf
+        np.matmul(p, G, out=b)
+        return float(np.log(b, out=t).sum()), float(np.divide(self.mi, b, out=t).sum())
 
     def _tables(self, k: dict) -> dict:
         """Each axis's (k, E) basis table at the degrees ``k``."""
@@ -297,7 +310,7 @@ class _Chain:
     def _logit_jacobian(self, z) -> float:
         """Sum over coordinates of ln sigma(z) + ln(1 - sigma(z)); the whole
         prior term of the uniform atoms."""
-        return float(-np.sum(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)))
+        return float(-(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)).sum())
 
     # Log prior term of each block in the chain's coordinates: the density
     # from tvspec.prior plus the chain's Jacobian (ln tau's is in
@@ -315,7 +328,7 @@ class _Chain:
     }
 
     def log_posterior(self) -> float:
-        total = self._loglik(self.A, self.C, self.log_tau)
+        total = self.ll
         for term in self.terms.values():
             total += term
         return total
@@ -333,26 +346,29 @@ class _Chain:
         The uniform is drawn even when ``delta`` is -inf, so a proposal with
         prior density 0 is rejected without shifting the random stream.
         """
-        accepted = log(self.rng.uniform()) < delta
+        accepted = log(self.rng.random()) < delta
         self._record(name, ACCEPT if accepted else REJECT)
         if accepted:
             vars(self).update(proposal)
 
     def _propose(self, name: str, new, **proposal):
         """Metropolis step for block ``name`` at the value ``new``; ``proposal``
-        holds the new state and cache entries.  A, C and ln tau come from it
-        where it has them, else from the state; a proposal whose prior term is
-        not finite is rejected unscored."""
+        holds the new state and cache entries.  A proposal that changes A, C
+        or ln tau is scored by its own log-likelihood, which it takes from the
+        proposal where it has them, else from the state; any other keeps the
+        cached ll.  A proposal whose prior term is not finite is rejected
+        unscored."""
         term = self.prior_term[name](self, new)
-        delta = -np.inf
-        if np.isfinite(term):
-            A, C = proposal.get("A", self.A), proposal.get("C", self.C)
-            delta = (
-                self._loglik(A, C, proposal.get("log_tau", self.log_tau))
-                - self._loglik(self.A, self.C, self.log_tau)
-                + term
-                - self.terms[name]
-            )
+        delta = -inf
+        if isfinite(term):
+            ll = self.ll
+            if "A" in proposal or "log_tau" in proposal:
+                ll = proposal["ll"] = self._loglik(
+                    proposal.get("A", self.A),
+                    proposal.get("C", self.C),
+                    proposal.get("log_tau", self.log_tau),
+                )
+            delta = ll - self.ll + term - self.terms[name]
         self._accept(name, delta, terms={**self.terms, name: term}, **proposal)
 
     def _rebin(self, axis: str, k: dict, z: dict) -> dict:
@@ -385,7 +401,7 @@ class _Chain:
     def step_degree(self, name: str):
         k_old = self.k[name]
         step = int(self.rng.poisson(K_POISSON_RATE))
-        k_new = k_old + (step if self.rng.uniform() < 0.5 else -step)
+        k_new = k_old + (step if self.rng.random() < 0.5 else -step)
         if k_new == k_old or not 1 <= k_new <= self.prior_cfg.k_max:
             # Decided without a uniform: an out-of-range degree is rejected,
             # and a null move (step 0) is recorded as such.
@@ -397,7 +413,7 @@ class _Chain:
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
         adaptive = self.iteration > ADAPT_START and blk.chol is not None
-        safe = not adaptive or self.rng.uniform() < ADAPT_MIX_WEIGHT
+        safe = not adaptive or self.rng.random() < ADAPT_MIX_WEIGHT
         noise = self.rng.standard_normal(dim)
         if safe:
             return (0.01 / sqrt(dim)) * noise
@@ -409,9 +425,10 @@ class _Chain:
         z = {**self.z, name: z_new}
         if name == "V":
             V = expit(z_new)
-            if np.any(V <= 0.0) or np.any(V >= 1.0):
-                # A stick rounded to 0 or 1 has prior density 0.
-                self._accept(name, -np.inf)
+            if not (V.min() > 0.0 and V.max() < 1.0):
+                # A stick rounded to 0 or 1 has prior density 0 (a NaN one
+                # none at all).
+                self._accept(name, -inf)
                 return
             surface = {"p": stick_weights(V)}
             if self.use_likelihood:
@@ -422,7 +439,7 @@ class _Chain:
 
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
-        lt_new = self.log_tau + (self.rng.uniform() - 0.5) * width
+        lt_new = self.log_tau + (self.rng.random() - 0.5) * width
         self._propose(name, lt_new, log_tau=lt_new)
 
         # Robbins-Monro width tuning on each batch of sweeps, burn-in only.
@@ -452,13 +469,17 @@ class _Chain:
 
     def check_cache_drift(self):
         """Raise AssertionError unless the cache equals a recomputation from
-        scratch: bins, G and prior terms exactly, A and C to a
-        relative 1e-8."""
+        scratch: bins, G and prior terms exactly, A and C to a relative 1e-8,
+        and ll exactly the log-likelihood of the cached A, C and ln tau."""
         fresh = self._fresh_cache()
         A, C = fresh.pop("A"), fresh.pop("C")
+        del fresh["ll"]
         drift = max(abs(A - self.A), abs(C - self.C))
         if drift > 1e-8 * max(1.0, abs(self.A), abs(self.C)):
             raise AssertionError(f"cached likelihood terms drifted by {drift}")
+        ll = self._loglik(self.A, self.C, self.log_tau)
+        if self.ll != ll:
+            raise AssertionError(f"cached log-likelihood {self.ll} differs from {ll}")
         for key, value in fresh.items():
             cached = vars(self)[key]
             if isinstance(value, dict):

@@ -80,7 +80,7 @@ def stick_weights(V) -> np.ndarray:
     of ``V``; leading axes index measures.
     """
     V = np.asarray(V, dtype=float)
-    if V.size and (np.any(V <= 0.0) | np.any(V >= 1.0)):
+    if V.size and not (V.min() > 0.0 and V.max() < 1.0):  # NaN fails too
         raise ValueError("sticks must lie strictly inside (0, 1)")
     L = V.shape[-1]
     remain = np.cumprod(1.0 - V, axis=-1)  # remain[..., l] = prod_{r<=l} (1 - V_r)

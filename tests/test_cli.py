@@ -168,7 +168,7 @@ class TestEstimate:
                      "--output-dir", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("flag", ["--chains", "--time-grid", "--freq-grid"])
+    @pytest.mark.parametrize("flag", ["--chains", "--time-grid", "--freq-grid", "--truncation-L"])
     def test_count_below_one_usage_error(self, tmp_path, series_file, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--input", str(series_file), flag, value,
@@ -223,6 +223,21 @@ class TestEstimate:
                      "--thinning", "1", "--iters", "300", "--burnin", "100",
                      "--thin", "1", "--seed", "1", "--time-grid", "5",
                      "--freq-grid", "5", "--output-dir", str(out)]) == 0
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("fmt", ["%.17g", ("%d", "%.17g", "%d", "%.17g")])
+    @pytest.mark.parametrize("rows", [0, 1, 257, tvspec.cli.WRITE_ROWS, 2 * tvspec.cli.WRITE_ROWS + 3])
+    def test_bytes_match_savetxt(self, tmp_path, fmt, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+        table[:, 0] = np.arange(rows) - 3  # whole numbers, some negative, for %d
+        edge = [0.0, -0.0, 1e-300, 1e300, -1e-300, -1e300, 0.1, 5e-324, 1.0, 2.0**53]
+        table.ravel()[: min(table.size, len(edge))] = edge[: table.size]
+        header = "a,b,c,d"
+        np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",", header=header, comments="")
+        tvspec.cli._write_table(tmp_path / "out.csv", table, fmt, header)
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestAseCommand:

@@ -44,6 +44,9 @@ class TestPriorConfig:
             PriorConfig(k_max=0)
         with pytest.raises(ValueError):
             PriorConfig(dp_mass=0.0)
+        for L in (0, -1):
+            with pytest.raises(ValueError, match="truncation_override"):
+                PriorConfig(truncation_override=L)
 
     def test_truncation_rule(self):
         cfg = PriorConfig()

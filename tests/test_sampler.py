@@ -74,6 +74,16 @@ class TestDeterminism:
         b = run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=600, burn_in=200, seed=2))
         assert not np.array_equal(a.log_tau, b.log_tau)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40))
+    def test_scalar_random_is_default_uniform(self, seed, n):
+        # The sweep draws its scalar uniforms with Generator.random(): each must
+        # be the double that Generator.uniform() gives, from the same one draw.
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n):
+            assert a.random() == b.uniform()
+            assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestBookkeeping:
     def test_retained_draw_count_and_shapes(self):

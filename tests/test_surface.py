@@ -51,10 +51,12 @@ class TestStickWeights:
         assert np.allclose(p, [0.125, 0.5, 0.25, 0.125])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            stick_weights([0.0])
-        with pytest.raises(ValueError):
-            stick_weights([0.2, 1.0])
+        for V in ([0.0], [0.2, 1.0], [0.3, np.nan], [[0.5], [np.nan]]):
+            with pytest.raises(ValueError):
+                stick_weights(V)
+
+    def test_no_sticks_one_atom(self):
+        assert np.array_equal(stick_weights(np.empty(0)), [1.0])
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(32)
