@@ -300,26 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="simulate a built-in DGP to CSV")
     p_sim.add_argument("--dgp", required=True, choices=VALID_DGPS)
     p_sim.add_argument("--innov", default="a", choices=sorted(INNOVATION_ALIASES))
-    p_sim.add_argument("--T", type=int, default=1500)
+    p_sim.add_argument("--T", type=_positive_int, default=1500)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--output", default="series.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pg = sub.add_parser("periodogram", help="moving periodogram ordinates to CSV")
     p_pg.add_argument("--input", required=True)
-    p_pg.add_argument("--m", type=int, required=True)
+    p_pg.add_argument("--m", type=_positive_int, required=True)
     p_pg.add_argument("--output", default="periodogram.csv")
     p_pg.set_defaults(func=cmd_periodogram)
 
     p_est = sub.add_parser("estimate", help="run the full posterior pipeline")
     p_est.add_argument("--input", required=True)
-    p_est.add_argument("--m", type=int, default=50)
+    p_est.add_argument("--m", type=_positive_int, default=50)
     p_est.add_argument("--thinning", type=int, default=2, choices=(1, 2, 3))
-    p_est.add_argument("--iters", type=int, default=110_000)
+    p_est.add_argument("--iters", type=_positive_int, default=110_000)
     p_est.add_argument("--burnin", type=int, default=60_000)
-    p_est.add_argument("--thin", type=int, default=5)
+    p_est.add_argument("--thin", type=_positive_int, default=5)
     p_est.add_argument("--seed", type=int, default=None)
-    p_est.add_argument("--kmax", type=int, default=100)
+    p_est.add_argument("--kmax", type=_positive_int, default=100)
     p_est.add_argument("--xi-l", dest="xi_l", type=float, default=0.1)
     p_est.add_argument("--xi-r", dest="xi_r", type=float, default=0.9)
     p_est.add_argument("--truncation-L", dest="truncation_L", type=_positive_int, default=None)

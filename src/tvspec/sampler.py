@@ -15,11 +15,11 @@ settled without a uniform.  Each block's prior term, its density from
 ``_Chain.prior_term``.  All adaptation freezes at the end of burn-in.
 
 The sweep is incremental.  Besides the state, the chain caches each block's
-current prior term and the current log-likelihood ``ll`` and, when the
-likelihood is on, each axis's atom bins, the atom rows
-``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the Whittle terms (A, C) of
-the surface ``p @ G``.  The cache is state like any other: a move proposes
-new entries and ``_accept`` commits them.  What each move recomputes:
+current prior term, the current log-likelihood ``ll``, each axis's atom
+bins, the atom rows ``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the
+Whittle terms (A, C) of the surface ``p @ G``.  The cache is state like
+any other: a move proposes new entries and ``_accept`` commits them.  What
+each move recomputes:
 
 - k1 or k2: that axis's bins, then every row of ``G`` (two gathers and one
   product), since the new degree reads another basis table;
@@ -45,12 +45,16 @@ The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
 leaves log space, which keeps prior-only runs stable even though the
 default Inverse-Gamma(0.001, 0.001) has astronomically heavy tails.
+
+A prior-only run is this chain on a grid with no entries: G has no
+columns, so A = C = 0 exactly and the likelihood, a product over the
+entries, is 1.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import inf, isfinite, log, sqrt
 
 import numpy as np
@@ -206,12 +210,10 @@ class _Chain:
         grid: LikelihoodGrid,
         prior_cfg: PriorConfig,
         cfg: SamplerConfig,
-        use_likelihood: bool,
     ):
         self.prior_cfg = prior_cfg
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.use_likelihood = use_likelihood
         self.mi = periodograms.ordinates[grid.t - 1]
         self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
         self.n_entries = len(grid)
@@ -245,17 +247,13 @@ class _Chain:
             "W2": logit(self.rng.uniform(size=self.L + 1)),
         }
         self.p = stick_weights(expit(self.z["V"]))
-        if self.use_likelihood:
-            mean_mi = float(np.mean(self.mi))
-            self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
-        else:
-            self.log_tau = 0.0
+        mean_mi = float(np.mean(self.mi)) if self.n_entries else 0.0
+        self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
         vars(self).update(self._fresh_cache())
-        if self.use_likelihood:
-            # A proposal writes its G into spare, which an accepted one swaps
-            # with the current G; scratch is never swapped.
-            self.spare = np.empty_like(self.G)
-            self.scratch = np.empty_like(self.G)
+        # A proposal writes its G into spare, which an accepted one swaps
+        # with the current G; scratch is never swapped.
+        self.spare = np.empty_like(self.G)
+        self.scratch = np.empty_like(self.G)
         if not (np.isfinite(self.A) and np.isfinite(self.C) and np.isfinite(self.log_tau)):
             raise InitializationError("non-finite likelihood terms at initialization")
         if not np.isfinite(self.log_posterior()):
@@ -263,13 +261,11 @@ class _Chain:
 
     def _fresh_cache(self) -> dict:
         """The cache of the current state, computed from scratch: each block's
-        prior term, the Whittle terms A and C and the log-likelihood ll; with
-        the likelihood on, also each axis's bins and the atom rows G."""
+        prior term, each axis's bins, the atom rows G, the Whittle terms A
+        and C and the log-likelihood ll."""
         terms = {"tau": self.prior_term["tau"](self, self.log_tau)}
         for name, value in (*self.z.items(), *self.k.items()):
             terms[name] = self.prior_term[name](self, value)
-        if not self.use_likelihood:
-            return {"terms": terms, "A": 0.0, "C": 0.0, "ll": 0.0}
         bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
         tables = self._tables(self.k)
         G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
@@ -300,8 +296,6 @@ class _Chain:
     # -- log densities ----------------------------------------------------
 
     def _loglik(self, A, C, log_tau) -> float:
-        if not self.use_likelihood:
-            return 0.0
         return -self.n_entries * log_tau - A - np.exp(-log_tau) * C
 
     def _degree_term(self, k: int) -> float:
@@ -377,8 +371,6 @@ class _Chain:
         the spare on accept), A and C.  A degree move rebuilds every row of G,
         as the new degree reads another basis table; an atom move only the
         rows whose bin changed, and with none changed it proposes nothing."""
-        if not self.use_likelihood:
-            return {}
         bins = {**self.bins, axis: atom_bins(k[DEGREE[axis]], expit(z[axis]))}
         tables = self._tables(k)
         G = self.spare
@@ -430,9 +422,9 @@ class _Chain:
                 # none at all).
                 self._accept(name, -inf)
                 return
-            surface = {"p": stick_weights(V)}
-            if self.use_likelihood:
-                surface["A"], surface["C"] = self._whittle_terms(surface["p"], self.G)
+            p = stick_weights(V)
+            A, C = self._whittle_terms(p, self.G)
+            surface = {"p": p, "A": A, "C": C}
         else:
             surface = self._rebin(name, self.k, z)
         self._propose(name, z_new, z=z, **surface)
@@ -500,12 +492,18 @@ def run_chain(
 ) -> PosteriorSampleSet:
     """Run one MCMC chain and return thinned post-burn-in draws.
 
+    ``use_likelihood=False`` samples the prior: the chain runs on ``grid``
+    with its entries removed (m and the block count, so L, are kept), where
+    the Whittle terms are exactly A = C = 0.
+
     ``progress``, if given, is called as progress(iteration, log_posterior,
     acceptance_rates) every WINDOW sweeps, with the block rates so far.
     Fully deterministic for a given ``sampler_cfg.seed``.
     """
     start = time.perf_counter()
-    chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg, use_likelihood)
+    if not use_likelihood:
+        grid = replace(grid, t=grid.t[:0], j=grid.j[:0])
+    chain = _Chain(periodograms, grid, prior_cfg, sampler_cfg)
 
     n_keep = (sampler_cfg.n_iter - sampler_cfg.burn_in) // sampler_cfg.thin
     out = PosteriorSampleSet(

@@ -106,7 +106,7 @@ class StickBreakingMeasure:
         if W1.size != V.size + 1 or W2.size != V.size + 1:
             raise ValueError("need L sticks and L + 1 atoms per coordinate")
         for w in (W1, W2):
-            if np.any(w < 0.0) or np.any(w > 1.0):
+            if not (w.min() >= 0.0 and w.max() <= 1.0):  # NaN fails too
                 raise ValueError("atoms must lie in [0, 1]")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W1", W1)

@@ -93,6 +93,14 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "LS1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_length_below_one_usage_error(self, tmp_path, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dgp", "LS1", "--T", value, "--output", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TVSPEC_SEED", "321")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -103,6 +111,15 @@ class TestSimulate:
 
 
 class TestPeriodogram:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_m_below_one_usage_error(self, tmp_path, series_file, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["periodogram", "--input", str(series_file), "--m", value,
+                  "--output", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_csv_columns(self, tmp_path, series_file):
         out = tmp_path / "pg.csv"
         assert main(["periodogram", "--input", str(series_file), "--m", "10",
@@ -168,7 +185,8 @@ class TestEstimate:
                      "--output-dir", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("flag", ["--chains", "--time-grid", "--freq-grid", "--truncation-L"])
+    @pytest.mark.parametrize("flag", ["--chains", "--time-grid", "--freq-grid", "--truncation-L",
+                                      "--m", "--iters", "--thin", "--kmax"])
     def test_count_below_one_usage_error(self, tmp_path, series_file, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--input", str(series_file), flag, value,

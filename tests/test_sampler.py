@@ -1,6 +1,7 @@
 """Tests for the blocked adaptive Metropolis-Hastings sampler."""
 
 import copy
+import dataclasses
 from functools import cache
 
 import numpy as np
@@ -44,6 +45,11 @@ def make_inputs(n=300, m=20, thinning=1, seed=61, model="LS1"):
 @cache
 def shared_inputs():
     return make_inputs()
+
+
+def without_entries(grid):
+    """The grid with its entries removed: a chain on it samples the prior."""
+    return dataclasses.replace(grid, t=grid.t[:0], j=grid.j[:0])
 
 
 class TestConfig:
@@ -142,7 +148,7 @@ class TestBookkeeping:
     def test_cached_posterior_no_drift(self):
         pg, grid = make_inputs()
         cfg = SamplerConfig(n_iter=3000, burn_in=1000, seed=6)
-        chain = _Chain(pg, grid, PriorConfig(), cfg, use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), cfg)
         for it in range(1, cfg.n_iter + 1):
             chain.sweep()
             if it % 250 == 0:
@@ -151,7 +157,7 @@ class TestBookkeeping:
     def test_move_outside_sweep_raises(self):
         # Before the first sweep there is no log row to record in.
         pg, grid = shared_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=17), use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=17))
         for name, move in chain.moves.items():
             with pytest.raises(RuntimeError, match="outside sweep"):
                 move(chain, name)
@@ -163,8 +169,7 @@ class TestCacheGuard:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_cached_terms_match_recomputation_after_every_move(self, seed):
         pg, grid = shared_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=seed), use_likelihood=True)
-        checks = dict.fromkeys(BLOCK_NAMES, 0)
+        checks = {}
 
         def checked(move):
             def run(chain, name):
@@ -173,11 +178,14 @@ class TestCacheGuard:
                 checks[name] += 1
             return run
 
-        chain.moves = {name: checked(move) for name, move in chain.moves.items()}
         sweeps = ADAPT_START + 100  # past ADAPT_START, so adaptive proposals run too
-        for _ in range(sweeps):
-            chain.sweep()
-        assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
+        for g in (grid, without_entries(grid)):  # the posterior, then the prior
+            checks.update(dict.fromkeys(BLOCK_NAMES, 0))
+            chain = _Chain(pg, g, PriorConfig(), SamplerConfig(seed=seed))
+            chain.moves = {name: checked(move) for name, move in chain.moves.items()}
+            for _ in range(sweeps):
+                chain.sweep()
+            assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
 
     @pytest.mark.parametrize("use_likelihood", [True, False])
     @pytest.mark.parametrize("k_max", [100, 1])  # k_max = 1 puts every atom in bin 1
@@ -211,8 +219,10 @@ class TestLogPosterior:
            use_likelihood=st.booleans())
     def test_matches_public_pieces(self, seed, sweeps, use_likelihood):
         pg, grid = shared_inputs()
+        if not use_likelihood:
+            grid = without_entries(grid)
         prior = PriorConfig()
-        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed), use_likelihood=use_likelihood)
+        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed))
         for _ in range(sweeps):
             chain.sweep()
         z = chain.z
@@ -227,15 +237,15 @@ class TestLogPosterior:
         # prior plus the logit Jacobians of V, W1 and W2 and ln tau.
         expected = log_prior(params, prior) + chain.log_tau
         expected += sum(float(np.sum(log_expit(v) + log_expit(-v))) for v in z.values())
-        if use_likelihood:
-            expected += log_dynamic_whittle(evaluate_surface(params, grid.u, grid.lam), pg, grid)
+        # 0.0 on the grid with no entries.
+        expected += log_dynamic_whittle(evaluate_surface(params, grid.u, grid.lam), pg, grid)
         assert chain.log_posterior() == pytest.approx(expected, rel=1e-9)
 
 
 class TestStickMoves:
     def test_stick_rounding_to_one_is_rejected(self):
         pg, grid = make_inputs()
-        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16), use_likelihood=True)
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16))
         chain._propose_increment = lambda name, dim: np.full(dim, 40.0)
         zV, A, C = chain.z["V"].copy(), chain.A, chain.C
         expected_rng = copy.deepcopy(chain.rng)

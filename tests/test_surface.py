@@ -297,6 +297,8 @@ class TestEvaluateSurface:
             StickBreakingMeasure(V=[0.5], W1=[0.5], W2=[0.5, 0.5])
         with pytest.raises(ValueError):
             StickBreakingMeasure(V=[0.5], W1=[0.5, 1.5], W2=[0.5, 0.5])
+        with pytest.raises(ValueError):
+            StickBreakingMeasure(V=[0.5], W1=[np.nan, 0.5], W2=[0.5, 0.5])
 
 
 @st.composite
