@@ -11,6 +11,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +127,9 @@ def _run_config(args, seed: int) -> dict:
     return {**config, "seed": seed, "version": __version__}
 
 
-def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
+def _estimate_one(
+    values: np.ndarray, args, prior_cfg: PriorConfig, sampler_cfg: SamplerConfig, out_dir: Path
+) -> dict:
     # Stage timings for metadata.json: periodogram, grid, chain, summarize
     # and write (surface.csv and draws.npz, not metadata.json itself).
     marks = [time.perf_counter()]
@@ -138,17 +141,6 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
     marks.append(time.perf_counter())
     grid = build_grid(pg.T, args.m, args.thinning)
     marks.append(time.perf_counter())
-    prior_cfg = PriorConfig(
-        k_max=args.kmax,
-        basis=BetaBasisConfig(xi_left=args.xi_l, xi_right=args.xi_r),
-        truncation_override=args.truncation_L,
-    )
-    sampler_cfg = SamplerConfig(
-        n_iter=args.iters,
-        burn_in=args.burnin,
-        thin=args.thin,
-        seed=seed,
-    )
     samples = run_chain(pg, grid, prior_cfg, sampler_cfg)
     marks.append(time.perf_counter())
     time_grid = np.linspace(0.0, 1.0, args.time_grid)
@@ -179,7 +171,7 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
     marks.append(time.perf_counter())
 
     metadata = {
-        "config": _run_config(args, seed),
+        "config": _run_config(args, sampler_cfg.seed),
         "n_draws": len(samples),
         "bayes_factor_01": summary.bayes_factor_01,
         "k1_pmf": summary.k1_pmf.tolist(),
@@ -208,10 +200,17 @@ def _estimate_one(values: np.ndarray, args, seed: int, out_dir: Path) -> dict:
 
 def cmd_estimate(args) -> int:
     seed = _default_seed(args.seed)
+    # Bad settings fail here, before the input is read or a worker started.
+    prior_cfg = PriorConfig(
+        k_max=args.kmax,
+        basis=BetaBasisConfig(xi_left=args.xi_l, xi_right=args.xi_r),
+        truncation_override=args.truncation_L,
+    )
+    sampler_cfg = SamplerConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin, seed=seed)
     series = _read_series_csv(args.input)
     out_dir = Path(args.output_dir)
     if args.chains == 1:
-        meta = _estimate_one(series.values, args, seed, out_dir)
+        meta = _estimate_one(series.values, args, prior_cfg, sampler_cfg, out_dir)
         print(f"bayes_factor_01={meta['bayes_factor_01']:.6g} -> {out_dir}")
         return 0
     # Spawned seeds give independent streams; each chain's metadata.json
@@ -222,7 +221,14 @@ def cmd_estimate(args) -> int:
     ]
     with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(_estimate_one, series.values, args, s, out_dir / f"chain_{c:02d}")
+            pool.submit(
+                _estimate_one,
+                series.values,
+                args,
+                prior_cfg,
+                replace(sampler_cfg, seed=s),
+                out_dir / f"chain_{c:02d}",
+            )
             for c, s in enumerate(seeds)
         ]
         for c, fut in enumerate(futures):
@@ -264,18 +270,10 @@ def cmd_ase(args) -> int:
         raise DataError(
             "surface grid mismatch: expected u in {1/T..1} and lambda in {0..1} with step 1/K"
         )
+    # The table is the estimate on the very grid ase() scores.
     est = mean[np.lexsort((lam, u))].reshape(T, K + 1)
-
-    def estimate_fn(uq, lq):
-        iu = np.clip(np.rint(np.asarray(uq) * T).astype(int) - 1, 0, T - 1)
-        il = np.clip(np.rint(np.asarray(lq) * K).astype(int), 0, K)
-        return est[iu, il]
-
-    def truth_fn(uq, lq):
-        return true_tv_psd(args.dgp, uq, lq)
-
     try:
-        value = ase(estimate_fn, truth_fn, T, K)
+        value = ase(lambda uq, lq: est, lambda uq, lq: true_tv_psd(args.dgp, uq, lq), T, K)
     except Exception as exc:
         raise DataError(str(exc)) from exc
     print(FLOAT_FMT % value)

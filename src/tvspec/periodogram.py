@@ -77,12 +77,9 @@ def moving_periodograms(x: TimeSeries, cfg: WindowConfig) -> MovingPeriodogramSe
     windows = sliding_window_view(values, width)[:T]
     nu = np.arange(width)
     mi = np.empty(T)
-    j_of_t = mod_index(np.arange(1, T + 1), m)
+    # Frequency j's windows are t = j, j + m, j + 2m, ...
     for j in range(1, m + 1):
-        rows = np.flatnonzero(j_of_t == j)
-        if rows.size == 0:
-            continue
         kernel = np.exp(-1j * np.pi * nu * lam[j - 1])
-        amp = windows[rows] @ kernel
-        mi[rows] = (amp.real ** 2 + amp.imag ** 2) / (2.0 * np.pi * width)
+        amp = windows[j - 1 :: m] @ kernel
+        mi[j - 1 :: m] = (amp.real ** 2 + amp.imag ** 2) / (2.0 * np.pi * width)
     return MovingPeriodogramSet(m=m, T=T, ordinates=mi, frequencies=lam)

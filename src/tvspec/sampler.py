@@ -21,25 +21,20 @@ Whittle terms (A, C) of the surface ``p @ G``.  The cache is state like
 any other: a move proposes new entries and ``_accept`` commits them.  What
 each move recomputes:
 
-- k1 or k2: that axis's bins, then every row of ``G`` (two gathers and one
-  product), since the new degree reads another basis table;
-- W1 or W2: that axis's bins; only the rows whose bin changed are rebuilt
-  with ``surface.atom_rows``.  With no bin changed the surface is the same,
-  so A and C are reused and nothing is evaluated;
+- k1, k2, W1 or W2: that axis's bins, then every row of ``G`` (two gathers
+  and one product).  An atom move that changes no bin leaves the surface as
+  it is, so A and C are reused and nothing is evaluated; a degree move
+  always rebuilds, since the new degree reads another basis table;
 - V: the surface ``p' @ G``, with no gather;
 - every move: the new block's prior term only, the old one is cached, and
   the log-likelihood of the proposal only, the current one is ``ll``.
 
-Both k and W moves go through ``_Chain._rebin``.  A proposal writes its
-``G`` into the chain's spare buffer (a degree move gathers its second
-factor into a scratch buffer), and an accepted proposal swaps the spare and
-current ``G``, so a sweep allocates no (L+1) x E array.  The Whittle terms
-are summed from two E-vectors the chain owns: the surface ``p @ G`` is
-written into one and ``ln b`` or ``MI / b`` into the other, so a surface
-evaluation allocates no E-vector either.  Every cached value
-is the same float that a recomputation from scratch gives
-(``check_cache_drift``), so the draws are those of a chain that recomputes
-everything at every move.
+Both k and W moves go through ``_Chain._rebin``.  A proposal gathers its
+``G`` into the chain's spare buffer (the second factor into a scratch
+buffer), and an accepted proposal swaps the spare and current ``G``, so a
+sweep allocates no (L+1) x E array.  Every cached value is the same float
+that a recomputation from scratch gives (``check_cache_drift``), so the
+draws are those of a chain that recomputes everything at every move.
 
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
@@ -217,10 +212,6 @@ class _Chain:
         self.mi = periodograms.ordinates[grid.t - 1]
         self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
         self.n_entries = len(grid)
-        # The surface b = p @ G and the summands ln b or MI / b of the Whittle
-        # terms, written in place by _whittle_terms.
-        self.shape_buf = np.empty(self.n_entries)
-        self.term_buf = np.empty(self.n_entries)
         self.L = prior_cfg.truncation_level(grid.m, grid.n_blocks)
         self.log_pmf = np.log(degree_pmf(prior_cfg))
 
@@ -254,8 +245,6 @@ class _Chain:
         # with the current G; scratch is never swapped.
         self.spare = np.empty_like(self.G)
         self.scratch = np.empty_like(self.G)
-        if not (np.isfinite(self.A) and np.isfinite(self.C) and np.isfinite(self.log_tau)):
-            raise InitializationError("non-finite likelihood terms at initialization")
         if not np.isfinite(self.log_posterior()):
             raise InitializationError("non-finite log-posterior at initialization")
 
@@ -275,10 +264,9 @@ class _Chain:
 
     def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau
-        factored out), computed in the chain's two E-vectors."""
-        b, t = self.shape_buf, self.term_buf
-        np.matmul(p, G, out=b)
-        return float(np.log(b, out=t).sum()), float(np.divide(self.mi, b, out=t).sum())
+        factored out)."""
+        b = p @ G
+        return float(np.log(b).sum()), float((self.mi / b).sum())
 
     def _tables(self, k: dict) -> dict:
         """Each axis's (k, E) basis table at the degrees ``k``."""
@@ -368,25 +356,18 @@ class _Chain:
     def _rebin(self, axis: str, k: dict, z: dict) -> dict:
         """Cache entries of a move of ``axis``'s degree or atoms to the degrees
         ``k`` and logits ``z``: bins, G in the spare buffer (the current G is
-        the spare on accept), A and C.  A degree move rebuilds every row of G,
-        as the new degree reads another basis table; an atom move only the
-        rows whose bin changed, and with none changed it proposes nothing."""
-        bins = {**self.bins, axis: atom_bins(k[DEGREE[axis]], expit(z[axis]))}
+        the spare on accept), A and C.  With the degree unchanged and no bin
+        changed the surface is the current one, and nothing is proposed."""
+        degree = DEGREE[axis]
+        bins = {**self.bins, axis: atom_bins(k[degree], expit(z[axis]))}
+        if k[degree] == self.k[degree] and np.array_equal(bins[axis], self.bins[axis]):
+            return {}
         tables = self._tables(k)
         G = self.spare
-        if k[DEGREE[axis]] != self.k[DEGREE[axis]]:
-            # Bins lie in 1..k, so "clip" never clips; it lets take write into
-            # the buffers without a temporary.
-            np.take(tables["W1"], bins["W1"] - 1, axis=0, out=G, mode="clip")
-            G *= np.take(tables["W2"], bins["W2"] - 1, axis=0, out=self.scratch, mode="clip")
-        else:
-            changed = np.flatnonzero(bins[axis] != self.bins[axis])
-            if not changed.size:
-                return {}
-            G[...] = self.G
-            G[changed] = atom_rows(
-                bins["W1"][changed], bins["W2"][changed], tables["W1"], tables["W2"]
-            )
+        # Bins lie in 1..k, so "clip" never clips; it lets take write into the
+        # buffers without a temporary.
+        np.take(tables["W1"], bins["W1"] - 1, axis=0, out=G, mode="clip")
+        G *= np.take(tables["W2"], bins["W2"] - 1, axis=0, out=self.scratch, mode="clip")
         A, C = self._whittle_terms(self.p, G)
         return {"bins": bins, "G": G, "spare": self.G, "A": A, "C": C}
 

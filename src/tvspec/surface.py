@@ -165,10 +165,11 @@ def atom_rows(bins1, bins2, B_u, B_lam) -> np.ndarray:
     """Each atom's tensor basis function at E points: row l is
     B_u[bins1_l - 1] * B_lam[bins2_l - 1].
 
-    ``bins1`` and ``bins2`` are 1-based atom bins from ``atom_bins`` (any
-    subset of the atoms); the entry-aligned (k, E) basis tables have one row
-    per degree index.  The sampler caches the rows of all atoms; an atom
-    move rebuilds here only the ones whose bin it changed.
+    ``bins1`` and ``bins2`` are 1-based atom bins from ``atom_bins``; the
+    entry-aligned (k, E) basis tables have one row per degree index.
+    ``surface_shape`` contracts these rows, and the sampler builds its cache
+    from them from scratch (``_Chain._fresh_cache``): the reference that the
+    rows it rebuilds in place are checked against.
     """
     return B_u[bins1 - 1] * B_lam[bins2 - 1]
 

@@ -202,6 +202,34 @@ class TestEstimate:
                      "--burnin", "999", "--output-dir", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--xi-l", "0.95", "xi_left"),
+        ("--xi-r", "nan", "xi_right"),
+        ("--burnin", "-5", "burn_in"),
+    ])
+    def test_bad_config_fails_before_any_work(self, tmp_path, series_file, monkeypatch,
+                                              inline_pool, capsys, flag, value, message, chains):
+        calls = []
+
+        def spy(name):
+            fn = getattr(tvspec.cli, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(tvspec.cli, name, wrapped)
+
+        spy("_read_series_csv")
+        spy("moving_periodograms")
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(series_file), "--m", "15", flag, value,
+                     "--chains", chains, "--output-dir", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert inline_pool == []  # no worker pool either
+        assert not out.exists()
+
     def test_chain_workers_capped_and_seeds_spawned(self, tmp_path, series_file, monkeypatch,
                                                      inline_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -24,6 +24,7 @@ from tvspec.sampler import (
     TAU_BATCH,
     TAU_TARGET_ACCEPT,
     WINDOW,
+    InitializationError,
     PosteriorSampleSet,
     SamplerConfig,
     _Chain,
@@ -31,7 +32,14 @@ from tvspec.sampler import (
     run_chain,
 )
 from tvspec.signal import DgpSpec, InnovationSpec, TimeSeries, simulate_dgp
-from tvspec.surface import StickBreakingMeasure, SurfaceParams, evaluate_surface
+from tvspec.surface import (
+    StickBreakingMeasure,
+    SurfaceParams,
+    atom_bins,
+    atom_rows,
+    basis_matrix,
+    evaluate_surface,
+)
 
 
 def make_inputs(n=300, m=20, thinning=1, seed=61, model="LS1"):
@@ -187,6 +195,38 @@ class TestCacheGuard:
                 chain.sweep()
             assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
 
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sweeps=st.integers(0, 300),
+           truncation=st.sampled_from([None, 1, 2]))
+    def test_every_proposal_matches_atom_rows(self, seed, sweeps, truncation):
+        # Each degree or W proposal, accepted or not, must hold the G that
+        # surface.atom_rows builds from scratch at its bins and degrees; one
+        # that proposes nothing keeps the current G.  With one or two atoms a
+        # degree move that changes no bin is common.
+        pg, grid = shared_inputs()
+        prior = PriorConfig(truncation_override=truncation)
+        chain = _Chain(pg, grid, prior, SamplerConfig(seed=seed))
+        for _ in range(sweeps):
+            chain.sweep()
+        rebin, degree_moves = chain._rebin, []
+
+        def checked_rebin(axis, k, z):
+            proposal = rebin(axis, k, z)
+            expected = atom_rows(
+                atom_bins(k["k1"], expit(z["W1"])),
+                atom_bins(k["k2"], expit(z["W2"])),
+                basis_matrix(grid.u, k["k1"], prior.basis),
+                basis_matrix(grid.lam, k["k2"], prior.basis),
+            )
+            assert np.array_equal(proposal.get("G", chain.G), expected), axis
+            degree_moves.append(k != chain.k)
+            return proposal
+
+        chain._rebin = checked_rebin
+        for _ in range(20):
+            chain.sweep()
+        assert set(degree_moves) == {True, False}
+
     @pytest.mark.parametrize("use_likelihood", [True, False])
     @pytest.mark.parametrize("k_max", [100, 1])  # k_max = 1 puts every atom in bin 1
     @settings(max_examples=3, deadline=None)
@@ -240,6 +280,16 @@ class TestLogPosterior:
         # 0.0 on the grid with no entries.
         expected += log_dynamic_whittle(evaluate_surface(params, grid.u, grid.lam), pg, grid)
         assert chain.log_posterior() == pytest.approx(expected, rel=1e-9)
+
+
+class TestInitialization:
+    def test_nan_ordinate_fails_to_start(self):
+        pg, grid = make_inputs()
+        ordinates = pg.ordinates.copy()
+        ordinates[grid.t[0] - 1] = np.nan
+        pg = dataclasses.replace(pg, ordinates=ordinates)
+        with pytest.raises(InitializationError, match="log-posterior"):
+            run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=300, burn_in=100, seed=1))
 
 
 class TestStickMoves:
