@@ -5,6 +5,9 @@ exponentials with mean f(t/T, lambda_j).  Thinning keeps every i-th block
 of m consecutive time points; blocks are generated until their start
 passes T and entries beyond T are dropped, so for i = 1 the grid is
 exactly {1, ..., T} and thinned grids always cover the tail.
+
+``entry_ordinates``, which the likelihood and the sampler both read, gives
+each entry's ordinate and rejects a periodogram set of another T or m.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import ceil
 
 import numpy as np
 
-from .periodogram import MovingPeriodogramSet, mod_index
+from .periodogram import MovingPeriodogramSet, fourier_frequencies, mod_index
 
 
 class EvaluationError(RuntimeError):
@@ -40,7 +43,7 @@ class LikelihoodGrid:
     @property
     def lam(self) -> np.ndarray:
         """Rescaled frequencies of each entry."""
-        return 2.0 * self.j / (2 * self.m + 1)
+        return fourier_frequencies(self.m)[self.j - 1]
 
     def __len__(self):
         return self.t.size
@@ -64,6 +67,14 @@ def build_grid(T: int, m: int, thinning: int = 1) -> LikelihoodGrid:
     )
 
 
+def entry_ordinates(periodograms: MovingPeriodogramSet, grid: LikelihoodGrid) -> np.ndarray:
+    """The periodogram ordinate at each grid entry; the grid must have been
+    built for the set's T and m."""
+    if grid.T != periodograms.T or grid.m != periodograms.m:
+        raise ValueError("grid and periodogram set do not match")
+    return periodograms.ordinates[grid.t - 1]
+
+
 def log_dynamic_whittle(
     surface,
     periodograms: MovingPeriodogramSet,
@@ -74,9 +85,7 @@ def log_dynamic_whittle(
     ``surface`` is either a vectorized callable f(u, lam) or an array of
     surface values aligned with the grid entries.
     """
-    if grid.T != periodograms.T or grid.m != periodograms.m:
-        raise ValueError("grid and periodogram set do not match")
-    mi = periodograms.ordinates[grid.t - 1]
+    mi = entry_ordinates(periodograms, grid)
     f = surface if isinstance(surface, np.ndarray) else np.asarray(surface(grid.u, grid.lam))
     bad = ~(np.isfinite(f) & (f > 0.0) & np.isfinite(mi))
     if np.any(bad):

@@ -14,18 +14,19 @@ settled without a uniform.  Each block's prior term, its density from
 ``tvspec.prior`` plus the chain's own Jacobian, comes from the table
 ``_Chain.prior_term``.  All adaptation freezes at the end of burn-in.
 
-The sweep is incremental.  Besides the state, the chain caches each block's
-current prior term, the current log-likelihood ``ll``, each axis's atom
-bins, the atom rows ``G = B_u[bins1 - 1] * B_lam[bins2 - 1]`` and the
-Whittle terms (A, C) of the surface ``p @ G``.  The cache is state like
-any other: a move proposes new entries and ``_accept`` commits them.  What
-each move recomputes:
+The sweep is incremental.  The chain caches all that ``_fresh_cache``
+derives from the state: each block's prior term, the stick weights ``p``,
+each axis's atom bins, the atom rows
+``G = B_u[bins1 - 1] * B_lam[bins2 - 1]``, the Whittle terms (A, C) of the
+surface ``p @ G`` and the log-likelihood ``ll``.  A move proposes new
+entries and ``_accept`` commits them.  What each move (``step_degree``,
+``step_atoms``, ``step_sticks``, ``step_tau``) recomputes:
 
 - k1, k2, W1 or W2: that axis's bins, then every row of ``G`` (two gathers
   and one product).  An atom move that changes no bin leaves the surface as
   it is, so A and C are reused and nothing is evaluated; a degree move
   always rebuilds, since the new degree reads another basis table;
-- V: the surface ``p' @ G``, with no gather;
+- V: ``p`` and the surface ``p' @ G``, with no gather;
 - every move: the new block's prior term only, the old one is cached, and
   the log-likelihood of the proposal only, the current one is ``ll``.
 
@@ -33,8 +34,8 @@ Both k and W moves go through ``_Chain._rebin``.  A proposal gathers its
 ``G`` into the chain's spare buffer (the second factor into a scratch
 buffer), and an accepted proposal swaps the spare and current ``G``, so a
 sweep allocates no (L+1) x E array.  Every cached value is the same float
-that a recomputation from scratch gives (``check_cache_drift``), so the
-draws are those of a chain that recomputes everything at every move.
+that ``_fresh_cache`` gives (``check_cache_drift`` checks each key for exact
+equality), so the draws are those of a chain that recomputes everything.
 
 The chain works on transformed coordinates throughout; the target density
 on those coordinates includes the logit and log Jacobians.  tau never
@@ -55,7 +56,7 @@ from math import inf, isfinite, log, sqrt
 import numpy as np
 from scipy.special import expit, logit
 
-from .likelihood import LikelihoodGrid
+from .likelihood import LikelihoodGrid, entry_ordinates
 from .periodogram import MovingPeriodogramSet
 from .prior import PriorConfig, degree_pmf, log_stick_density, log_tau_density
 from .surface import (
@@ -209,7 +210,7 @@ class _Chain:
         self.prior_cfg = prior_cfg
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.mi = periodograms.ordinates[grid.t - 1]
+        self.mi = entry_ordinates(periodograms, grid)
         self.points = {"W1": grid.u, "W2": grid.lam}  # each atom axis at the entries
         self.n_entries = len(grid)
         self.L = prior_cfg.truncation_level(grid.m, grid.n_blocks)
@@ -237,7 +238,6 @@ class _Chain:
             "W1": logit(self.rng.uniform(size=self.L + 1)),
             "W2": logit(self.rng.uniform(size=self.L + 1)),
         }
-        self.p = stick_weights(expit(self.z["V"]))
         mean_mi = float(np.mean(self.mi)) if self.n_entries else 0.0
         self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
         vars(self).update(self._fresh_cache())
@@ -250,17 +250,17 @@ class _Chain:
 
     def _fresh_cache(self) -> dict:
         """The cache of the current state, computed from scratch: each block's
-        prior term, each axis's bins, the atom rows G, the Whittle terms A
-        and C and the log-likelihood ll."""
-        terms = {"tau": self.prior_term["tau"](self, self.log_tau)}
-        for name, value in (*self.z.items(), *self.k.items()):
-            terms[name] = self.prior_term[name](self, value)
+        prior term, the stick weights p, each axis's bins, the atom rows G,
+        the Whittle terms A and C and the log-likelihood ll."""
+        values = {"tau": self.log_tau, **self.z, **self.k}
+        terms = {name: self.prior_term[name](self, v) for name, v in values.items()}
+        p = stick_weights(expit(self.z["V"]))
         bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
         tables = self._tables(self.k)
         G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
-        A, C = self._whittle_terms(self.p, G)
+        A, C = self._whittle_terms(p, G)
         ll = self._loglik(A, C, self.log_tau)
-        return {"terms": terms, "bins": bins, "G": G, "A": A, "C": C, "ll": ll}
+        return {"terms": terms, "p": p, "bins": bins, "G": G, "A": A, "C": C, "ll": ll}
 
     def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau
@@ -273,12 +273,9 @@ class _Chain:
         tables = {}
         for axis, degree in DEGREE.items():
             cache = self.basis[axis]
-            mat = cache.get(k[degree])
-            if mat is None:
-                mat = cache[k[degree]] = basis_matrix(
-                    self.points[axis], k[degree], self.prior_cfg.basis
-                )
-            tables[axis] = mat
+            if k[degree] not in cache:
+                cache[k[degree]] = basis_matrix(self.points[axis], k[degree], self.prior_cfg.basis)
+            tables[axis] = cache[k[degree]]
         return tables
 
     # -- log densities ----------------------------------------------------
@@ -392,23 +389,22 @@ class _Chain:
             return (0.01 / sqrt(dim)) * noise
         return (2.38 / sqrt(dim)) * (blk.chol @ noise)
 
-    def step_logits(self, name: str):
-        z_old = self.z[name]
-        z_new = z_old + self._propose_increment(name, z_old.size)
+    def step_sticks(self, name: str):
+        z_new = self.z[name] + self._propose_increment(name, self.z[name].size)
+        V = expit(z_new)
+        if not (V.min() > 0.0 and V.max() < 1.0):
+            # A stick rounded to 0 or 1 has prior density 0 (a NaN one none
+            # at all).
+            self._accept(name, -inf)
+            return
+        p = stick_weights(V)
+        A, C = self._whittle_terms(p, self.G)
+        self._propose(name, z_new, z={**self.z, name: z_new}, p=p, A=A, C=C)
+
+    def step_atoms(self, name: str):
+        z_new = self.z[name] + self._propose_increment(name, self.z[name].size)
         z = {**self.z, name: z_new}
-        if name == "V":
-            V = expit(z_new)
-            if not (V.min() > 0.0 and V.max() < 1.0):
-                # A stick rounded to 0 or 1 has prior density 0 (a NaN one
-                # none at all).
-                self._accept(name, -inf)
-                return
-            p = stick_weights(V)
-            A, C = self._whittle_terms(p, self.G)
-            surface = {"p": p, "A": A, "C": C}
-        else:
-            surface = self._rebin(name, self.k, z)
-        self._propose(name, z_new, z=z, **surface)
+        self._propose(name, z_new, z=z, **self._rebin(name, self.k, z))
 
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
@@ -426,9 +422,9 @@ class _Chain:
     moves = {
         "k1": step_degree,
         "k2": step_degree,
-        "W1": step_logits,
-        "W2": step_logits,
-        "V": step_logits,
+        "W1": step_atoms,
+        "W2": step_atoms,
+        "V": step_sticks,
         "tau": step_tau,
     }
 
@@ -441,22 +437,15 @@ class _Chain:
                 blk.update(self.z[name])
 
     def check_cache_drift(self):
-        """Raise AssertionError unless the cache equals a recomputation from
-        scratch: bins, G and prior terms exactly, A and C to a relative 1e-8,
-        and ll exactly the log-likelihood of the cached A, C and ln tau."""
-        fresh = self._fresh_cache()
-        A, C = fresh.pop("A"), fresh.pop("C")
-        del fresh["ll"]
-        drift = max(abs(A - self.A), abs(C - self.C))
-        if drift > 1e-8 * max(1.0, abs(self.A), abs(self.C)):
-            raise AssertionError(f"cached likelihood terms drifted by {drift}")
-        ll = self._loglik(self.A, self.C, self.log_tau)
-        if self.ll != ll:
-            raise AssertionError(f"cached log-likelihood {self.ll} differs from {ll}")
-        for key, value in fresh.items():
+        """Raise AssertionError, naming the key, unless every cached value is
+        exactly the one ``_fresh_cache`` recomputes from the state: the same
+        keys in ``terms`` and ``bins``, and equal arrays and floats."""
+        for key, value in self._fresh_cache().items():
             cached = vars(self)[key]
             if isinstance(value, dict):
-                same = all(np.array_equal(cached[part], v) for part, v in value.items())
+                same = cached.keys() == value.keys() and all(
+                    np.array_equal(cached[part], v) for part, v in value.items()
+                )
             else:
                 same = np.array_equal(cached, value)
             if not same:

@@ -30,7 +30,20 @@ VALID_DGPS = tuple(MODELS)
 GAUSSIAN = "gaussian"
 STUDENT_T3 = "student-t3"
 PARETO = "pareto"
-INNOVATION_KINDS = (GAUSSIAN, STUDENT_T3, PARETO)
+
+# Standardization constants: t(3) has variance 3; Pareto(shape 4, scale 1)
+# has mean 4/3 and variance 2/9.
+_T3_SD = np.sqrt(3.0)
+_PARETO_MEAN = 4.0 / 3.0
+_PARETO_SD = np.sqrt(2.0 / 9.0)
+
+# n standardized draws of each family; numpy's pareto() is Lomax, +1 makes it Pareto(scale 1).
+INNOVATIONS = {
+    GAUSSIAN: lambda n, rng: rng.standard_normal(n),
+    STUDENT_T3: lambda n, rng: rng.standard_t(3, size=n) / _T3_SD,
+    PARETO: lambda n, rng: ((rng.pareto(4.0, size=n) + 1.0) - _PARETO_MEAN) / _PARETO_SD,
+}
+INNOVATION_KINDS = tuple(INNOVATIONS)
 
 # CLI shorthand used in run configs: a = gaussian, b = t3, c = pareto.
 INNOVATION_ALIASES = {
@@ -45,12 +58,6 @@ INNOVATION_ALIASES = {
     "pareto": PARETO,
     "pareto-standardized": PARETO,
 }
-
-# Standardization constants: t(3) has variance 3; Pareto(shape 4, scale 1)
-# has mean 4/3 and variance 2/9.
-_T3_SD = np.sqrt(3.0)
-_PARETO_MEAN = 4.0 / 3.0
-_PARETO_SD = np.sqrt(2.0 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -115,13 +122,7 @@ def _coefficients(model: str, u) -> tuple:
 
 def sample_innovations(spec: InnovationSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` iid innovations from the chosen standardized family."""
-    if spec.kind == GAUSSIAN:
-        return rng.standard_normal(n)
-    if spec.kind == STUDENT_T3:
-        return rng.standard_t(3, size=n) / _T3_SD
-    # numpy's pareto() is the Lomax form; +1 gives Pareto with scale 1.
-    raw = rng.pareto(4.0, size=n) + 1.0
-    return (raw - _PARETO_MEAN) / _PARETO_SD
+    return INNOVATIONS[spec.kind](n, rng)
 
 
 def dgp_path(model: str, T: int, innovations: np.ndarray) -> np.ndarray:

@@ -160,7 +160,7 @@ class TestBookkeeping:
         for it in range(1, cfg.n_iter + 1):
             chain.sweep()
             if it % 250 == 0:
-                chain.check_cache_drift()  # raises on drift > 1e-8
+                chain.check_cache_drift()  # raises unless the cache is exact
 
     def test_move_outside_sweep_raises(self):
         # Before the first sweep there is no log row to record in.
@@ -182,7 +182,7 @@ class TestCacheGuard:
         def checked(move):
             def run(chain, name):
                 move(chain, name)
-                chain.check_cache_drift()  # raises on drift > 1e-8
+                chain.check_cache_drift()  # raises unless the cache is exact
                 checks[name] += 1
             return run
 
@@ -194,6 +194,28 @@ class TestCacheGuard:
             for _ in range(sweeps):
                 chain.sweep()
             assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
+
+    @pytest.mark.parametrize("key", ["p", "A", "C", "ll", "G", "bins", "terms"])
+    def test_one_ulp_off_is_caught(self, key):
+        # The check is exact: one ulp on one cached float (one bin off by
+        # one) must fail it, naming the key.
+        pg, grid = make_inputs()
+        chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=3))
+        for _ in range(100):
+            chain.sweep()
+        chain.check_cache_drift()
+        value = copy.deepcopy(getattr(chain, key))
+        if key == "bins":
+            value["W1"][0] += 1
+        elif key == "terms":
+            value["tau"] = np.nextafter(value["tau"], np.inf)
+        elif key in ("p", "G"):
+            value.flat[0] = np.nextafter(value.flat[0], np.inf)
+        else:
+            value = np.nextafter(value, np.inf)
+        setattr(chain, key, value)
+        with pytest.raises(AssertionError, match=f"cached '{key}'"):
+            chain.check_cache_drift()
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sweeps=st.integers(0, 300),
@@ -290,6 +312,16 @@ class TestInitialization:
         pg = dataclasses.replace(pg, ordinates=ordinates)
         with pytest.raises(InitializationError, match="log-posterior"):
             run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=300, burn_in=100, seed=1))
+
+    @pytest.mark.parametrize("shorter, m", [(300, 20), (0, 10)])
+    def test_grid_of_another_periodogram_set_fails_to_start(self, monkeypatch, shorter, m):
+        # A grid built for another T or m would pair ordinates with the
+        # wrong frequencies; the chain must refuse it before the first sweep.
+        pg, _ = make_inputs(n=1500, m=20)
+        grid = build_grid(pg.T - shorter, m, 1)
+        monkeypatch.setattr(_Chain, "sweep", lambda chain: pytest.fail("swept"))
+        with pytest.raises(ValueError, match="grid and periodogram set do not match"):
+            run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=50, burn_in=0, thin=1, seed=1))
 
 
 class TestStickMoves:
