@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .inference import ase, summarize
 from .likelihood import build_grid
-from .periodogram import WindowConfig, moving_periodograms
+from .periodogram import WindowConfig, fourier_frequencies, mod_index, moving_periodograms
 from .prior import PriorConfig
 from .sampler import SamplerConfig, run_chain
 from .signal import (
@@ -105,16 +105,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_periodogram(args) -> int:
     series = _read_series_csv(args.input)
-    try:
-        pg = moving_periodograms(series, WindowConfig(m=args.m))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    pg = moving_periodograms(series, WindowConfig(m=args.m))
     out = Path(args.output)
     t = np.arange(1, pg.T + 1)
-    j = pg.frequency_index(t)
+    j = mod_index(t, pg.m)
     _write_table(
         out,
-        np.column_stack((t, t / pg.T, j, pg.frequencies[j - 1], pg.ordinates)),
+        np.column_stack((t, t / pg.T, j, fourier_frequencies(pg.m)[j - 1], pg.ordinates)),
         ("%d", FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT),
         "t,u,lambda_index,lambda,MI",
     )
@@ -134,10 +131,7 @@ def _estimate_one(
     # and write (surface.csv and draws.npz, not metadata.json itself).
     marks = [time.perf_counter()]
     series = TimeSeries(values)
-    try:
-        pg = moving_periodograms(series, WindowConfig(m=args.m))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    pg = moving_periodograms(series, WindowConfig(m=args.m))
     marks.append(time.perf_counter())
     grid = build_grid(pg.T, args.m, args.thinning)
     marks.append(time.perf_counter())
@@ -272,10 +266,7 @@ def cmd_ase(args) -> int:
         )
     # The table is the estimate on the very grid ase() scores.
     est = mean[np.lexsort((lam, u))].reshape(T, K + 1)
-    try:
-        value = ase(lambda uq, lq: est, lambda uq, lq: true_tv_psd(args.dgp, uq, lq), T, K)
-    except Exception as exc:
-        raise DataError(str(exc)) from exc
+    value = ase(lambda uq, lq: est, lambda uq, lq: true_tv_psd(args.dgp, uq, lq), T, K)
     print(FLOAT_FMT % value)
     return 0
 
@@ -341,8 +332,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # A bare MemoryError has no text; its type name says what failed.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

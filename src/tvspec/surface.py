@@ -167,17 +167,11 @@ def atom_rows(bins1, bins2, B_u, B_lam) -> np.ndarray:
 
     ``bins1`` and ``bins2`` are 1-based atom bins from ``atom_bins``; the
     entry-aligned (k, E) basis tables have one row per degree index.
-    ``surface_shape`` contracts these rows, and the sampler builds its cache
-    from them from scratch (``_Chain._fresh_cache``): the reference that the
-    rows it rebuilds in place are checked against.
+    ``evaluate_surface`` contracts these rows with the weights p, and the
+    sampler builds its cache from them from scratch (``_Chain._fresh_cache``):
+    the reference that the rows it rebuilds in place are checked against.
     """
     return B_u[bins1 - 1] * B_lam[bins2 - 1]
-
-
-def surface_shape(p, bins1, bins2, B_u, B_lam) -> np.ndarray:
-    """Surface divided by tau at E points: the weights ``p`` contracted with
-    the atom rows, sum_l p_l B_u[bins1_l] * B_lam[bins2_l]."""
-    return p @ atom_rows(bins1, bins2, B_u, B_lam)
 
 
 def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:
@@ -188,11 +182,11 @@ def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:
     shape = u.shape
 
     m = params.measure
-    vals = params.tau * surface_shape(
-        m.weights(),
+    # tau scales the contraction, not p: the parentheses fix the rounding.
+    vals = params.tau * (m.weights() @ atom_rows(
         atom_bins(params.k1, m.W1),
         atom_bins(params.k2, m.W2),
         basis_matrix(u.ravel(), params.k1, params.basis),
         basis_matrix(lam.ravel(), params.k2, params.basis),
-    )
+    ))
     return vals.reshape(shape) if shape else float(vals[0])

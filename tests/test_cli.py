@@ -202,6 +202,23 @@ class TestEstimate:
                      "--burnin", "999", "--output-dir", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("chains, text, message", [
+        ("1", "Unable to allocate 11.2 GiB", "Unable to allocate 11.2 GiB"),
+        ("2", "Unable to allocate 11.2 GiB", "Unable to allocate 11.2 GiB"),
+        ("1", "", "MemoryError"),  # a bare MemoryError: its type name
+    ])
+    def test_memory_error_exit_3(self, tmp_path, series_file, monkeypatch, inline_pool, capsys,
+                                 chains, text, message):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(tvspec.cli, "run_chain", no_memory)
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(series_file), "--m", "15",
+                     "--chains", chains, "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("chains", ["1", "2"])
     @pytest.mark.parametrize("flag, value, message", [
         ("--xi-l", "0.95", "xi_left"),
@@ -333,6 +350,14 @@ class TestAseCommand:
             fh.write("0.37,1.0,1,1,1,1\n")
         assert main(["ase", "--surface", str(surf), "--dgp", "S2"]) == 3
         assert "grid mismatch" in capsys.readouterr().err
+
+    def test_nonpositive_surface_exit_3(self, tmp_path, capsys):
+        surf = tmp_path / "surf.csv"
+        self._write_surface(surf, "S2", 10, 9, factor=0.0)
+        assert main(["ase", "--surface", str(surf), "--dgp", "S2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: estimate surface is not strictly positive on the ASE grid\n"
+        )
 
 
 class TestTopLevel:

@@ -165,4 +165,3 @@ class MovingPgStub:
         self.T = pg.T
         self.ordinates = pg.ordinates.copy()
         self.ordinates[entry] += delta
-        self.frequencies = pg.frequencies

@@ -90,7 +90,7 @@ class TestMovingPeriodograms:
     def test_frequency_association(self):
         pg = moving_periodograms(TimeSeries(np.arange(30.0)), WindowConfig(m=4))
         t = np.arange(1, pg.T + 1)
-        assert np.array_equal(pg.frequency_index(t), 1 + (t - 1) % 4)
+        assert np.array_equal(mod_index(t, pg.m), 1 + (t - 1) % 4)
 
     def test_gaussian_scaled_moments(self):
         # For iid unit-variance input the 2 pi scaled ordinates have mean 1

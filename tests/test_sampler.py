@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 from functools import cache
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import expit, log_expit
+from scipy.special import expit, log_expit, logsumexp
 
 import tvspec.sampler
-from tvspec.likelihood import build_grid, log_dynamic_whittle
+from tvspec.inference import savage_dickey_bf
+from tvspec.likelihood import build_grid, entry_ordinates, log_dynamic_whittle
 from tvspec.periodogram import WindowConfig, moving_periodograms
 from tvspec.prior import PriorConfig, degree_pmf, log_prior
 from tvspec.sampler import (
@@ -445,6 +447,83 @@ class TestPriorRecovery:
         post = s.acceptance["post_burn_in"]
         for block in ("W1", "W2", "V", "tau"):
             assert 0.02 < post[block] < 0.98, (block, post[block])
+
+
+def exact_degree_posterior(pg, grid, prior: PriorConfig, n_v: int = 20_000) -> np.ndarray:
+    """Exact posterior of (k1, k2) with one stick, as a (k_max, k_max) table.
+
+    With L = 1 the weights are (1 - V, V), and each of the two atoms per axis
+    enters only through its bin, each bin of prior mass 1/k, so the integral
+    over the atoms is a sum over bin tuples.  tau integrates out by Inverse-Gamma conjugacy,
+    leaving exp(-A) (C + b)^-(E + a) times factors common to every (k1, k2);
+    V, uniform under Beta(1, 1), is integrated by an n_v-point midpoint rule.
+    """
+    assert prior.truncation_override == 1 and prior.dp_mass == 1.0
+    mi = entry_ordinates(pg, grid)
+    a, b = prior.tau_shape, prior.tau_rate
+    V = (np.arange(n_v) + 0.5) / n_v
+    p = np.column_stack((1.0 - V, V))
+    log_pmf = np.log(degree_pmf(prior))
+    log_post = np.empty((prior.k_max, prior.k_max))
+    degrees = range(1, prior.k_max + 1)
+    for k1, k2 in itertools.product(degrees, degrees):
+        B_u, B_lam = basis_matrix(grid.u, k1, prior.basis), basis_matrix(grid.lam, k2, prior.basis)
+        terms = []
+        for rows1 in itertools.product(range(k1), repeat=2):
+            for rows2 in itertools.product(range(k2), repeat=2):
+                shape = p @ (B_u[list(rows1)] * B_lam[list(rows2)])  # (n_v, E)
+                A, C = np.log(shape).sum(axis=1), (mi / shape).sum(axis=1)
+                terms.append(-A - (mi.size + a) * np.log(C + b))
+        log_post[k1 - 1, k2 - 1] = (
+            log_pmf[k1 - 1] + log_pmf[k2 - 1] - 2 * np.log(k1 * k2) + logsumexp(terms)
+        )
+    return np.exp(log_post - logsumexp(log_post))
+
+
+def batch_means_ess(x, n_batches: int = 50) -> float:
+    """ESS of the draws ``x``: their variance over that of their mean, the
+    latter estimated from the spread of n_batches batch means."""
+    n = x.size // n_batches * n_batches
+    means = x[:n].reshape(n_batches, -1).mean(axis=1)
+    return x.var() * n_batches / means.var(ddof=1)
+
+
+@cache
+def oracle_run():
+    """LS1 with N = 40, m = 5 and thinning 1 (E = 30), data seed 7: the exact
+    (k1, k2) posterior, the prior and a 90 000-draw chain."""
+    pg, grid = make_inputs(n=40, m=5, thinning=1, seed=7)
+    prior = PriorConfig(k_max=3, degree_decay=0.3, truncation_override=1)
+    samples = run_chain(pg, grid, prior, SamplerConfig(n_iter=100_000, burn_in=10_000, thin=1))
+    return exact_degree_posterior(pg, grid, prior), prior, samples
+
+
+class TestPosteriorOracle:
+    # A chain whose k2 prior term is 0 misses the exact k2 marginal by a TV
+    # distance of about 7 times its Monte Carlo error; correct chains at
+    # other seeds stay within about 2.
+    TOLERANCE = 4.0  # in Monte Carlo errors
+
+    def test_degree_marginals(self):
+        exact, _, samples = oracle_run()
+        # Far from a point mass, so the TV distances below have power.
+        assert np.allclose(exact.sum(axis=1), [0.715, 0.166, 0.119], atol=1e-3)
+        assert np.allclose(exact.sum(axis=0), [0.302, 0.183, 0.515], atol=1e-3)
+        for k, pmf in ((samples.k1, exact.sum(axis=1)), (samples.k2, exact.sum(axis=0))):
+            hits = [(k == degree).astype(float) for degree in (1, 2, 3)]
+            ess = np.array([batch_means_ess(h) for h in hits])
+            tv = 0.5 * np.abs(np.mean(hits, axis=1) - pmf).sum()
+            # Half the sum of the frequencies' standard errors.
+            mc_error = 0.5 * np.sqrt(pmf * (1.0 - pmf) / ess).sum()
+            assert tv < self.TOLERANCE * mc_error, (tv, mc_error)
+
+    def test_savage_dickey_bf(self):
+        exact, prior, samples = oracle_run()
+        p1, prior_p1 = exact.sum(axis=1)[0], degree_pmf(prior)[0]
+        assert p1 / prior_p1 == pytest.approx(1.700, abs=1e-3)
+        ess = batch_means_ess((samples.k1 == 1).astype(float))
+        mc_error = np.sqrt(p1 * (1.0 - p1) / ess) / prior_p1
+        assert abs(savage_dickey_bf(samples, prior) - p1 / prior_p1) < self.TOLERANCE * mc_error
 
 
 class TestSampleSet:

@@ -245,7 +245,7 @@ class TestTrueTvPsd:
         # Freeze the LS2 coefficient at u = 0 and average the 2 pi scaled
         # moving periodogram ordinates of a long stationary MA(1) record;
         # each frequency's average should sit within 10% of 2 pi f(0, lam).
-        from tvspec.periodogram import WindowConfig, mod_index, moving_periodograms
+        from tvspec.periodogram import WindowConfig, fourier_frequencies, mod_index, moving_periodograms
 
         theta = 1.1 * np.cos(1.5 - 1.0)
         rng = np.random.default_rng(17)
@@ -260,5 +260,5 @@ class TestTrueTvPsd:
         # ordinates upward, which is a periodogram property, not an error.
         for j in range(1, 6):
             avg = 2.0 * np.pi * pg.ordinates[j_of_t == j].mean()
-            target = 2.0 * np.pi * true_tv_psd("LS2", 0.0, pg.frequencies[j - 1])
+            target = 2.0 * np.pi * true_tv_psd("LS2", 0.0, fourier_frequencies(pg.m)[j - 1])
             assert abs(avg / target - 1.0) < 0.10, j

@@ -11,12 +11,12 @@ from tvspec.surface import (
     StickBreakingMeasure,
     SurfaceParams,
     atom_bins,
+    atom_rows,
     basis_matrix,
     bin_masses,
     evaluate_surface,
     standard_basis_matrix,
     stick_weights,
-    surface_shape,
     truncated_beta_density,
     weights_from_measure,
 )
@@ -332,7 +332,7 @@ class TestSurfaceShape:
         p, bins1, bins2, k1, k2, u, lam = case
         n = min(u.size, lam.size)
         u, lam = u[:n], lam[:n]
-        got = surface_shape(p, bins1, bins2, basis_matrix(u, k1), basis_matrix(lam, k2))
+        got = p @ atom_rows(bins1, bins2, basis_matrix(u, k1), basis_matrix(lam, k2))
         assert got.shape == (n,)
         assert np.allclose(got, double_sum(p, bins1, bins2, k1, k2, u, lam), rtol=1e-12, atol=0)
 
@@ -346,7 +346,7 @@ class TestSurfaceShape:
         ref = double_sum(p, bins1, bins2, k1, k2, u[:, None], lam[None, :])
         assert np.allclose(grid, ref, rtol=1e-12, atol=0)
         uu, ll = np.meshgrid(u, lam, indexing="ij")
-        pointwise = surface_shape(
-            p, bins1, bins2, basis_matrix(uu.ravel(), k1), basis_matrix(ll.ravel(), k2)
+        pointwise = p @ atom_rows(
+            bins1, bins2, basis_matrix(uu.ravel(), k1), basis_matrix(ll.ravel(), k2)
         )
         assert np.allclose(grid.ravel(), pointwise, rtol=1e-13, atol=0)
