@@ -21,7 +21,7 @@ from .inference import ase, summarize
 from .likelihood import build_grid
 from .periodogram import WindowConfig, fourier_frequencies, mod_index, moving_periodograms
 from .prior import PriorConfig
-from .sampler import SamplerConfig, run_chain
+from .sampler import BLOCK_NAMES, SamplerConfig, run_chain
 from .signal import (
     INNOVATION_ALIASES,
     VALID_DGPS,
@@ -192,6 +192,23 @@ def _estimate_one(
     return metadata
 
 
+def _check_fits(args, workers: int):
+    """Reject a run whose large arrays, counted from the arguments alone,
+    exceed physical memory: per concurrent chain, the int8 move log, the
+    (nf, n_keep) block and (4, nt, nf) statistics of ``summarize``, and the
+    output table's six columns with the two meshgrid arrays."""
+    cells = args.time_grid * args.freq_grid
+    n_keep = (args.iters - args.burnin) // args.thin
+    floats = args.freq_grid * n_keep + (4 + 6 + 2) * cells
+    need = workers * (args.iters * len(BLOCK_NAMES) + 8 * floats)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DataError(
+            f"the run needs about {need / 2**30:.3g} GiB of arrays, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def cmd_estimate(args) -> int:
     seed = _default_seed(args.seed)
     # Bad settings fail here, before the input is read or a worker started.
@@ -201,6 +218,8 @@ def cmd_estimate(args) -> int:
         truncation_override=args.truncation_L,
     )
     sampler_cfg = SamplerConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin, seed=seed)
+    workers = min(args.chains, os.cpu_count() or 1)
+    _check_fits(args, workers)
     series = _read_series_csv(args.input)
     out_dir = Path(args.output_dir)
     if args.chains == 1:
@@ -213,7 +232,7 @@ def cmd_estimate(args) -> int:
         int(child.generate_state(1, np.uint64)[0])
         for child in np.random.SeedSequence(seed).spawn(args.chains)
     ]
-    with ProcessPoolExecutor(max_workers=min(args.chains, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
                 _estimate_one,

@@ -12,9 +12,6 @@ from .prior import PriorConfig, prior_prob_k1_equals_1
 from .sampler import PosteriorSampleSet
 from .surface import atom_bins, basis_matrix, bin_masses, stick_weights
 
-# Floats in one summarize block (draws x time chunk x frequencies), about 8 MB.
-BLOCK_FLOATS = 1_000_000
-
 
 @dataclass
 class PosteriorSummary:
@@ -67,15 +64,15 @@ def _draw_groups(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray) ->
 
 
 def _pointwise_stats(block: np.ndarray):
-    """Mean, median, 5% and 95% nearest-rank quantiles over axis 0.
+    """Mean, median, 5% and 95% nearest-rank quantiles over the last axis.
 
     Sorts ``block`` in place; one sort serves all three order statistics.
     """
-    n = block.shape[0]
-    mean = block.mean(axis=0)
-    block.sort(axis=0)
-    median = (block[(n - 1) // 2] + block[n // 2]) / 2
-    return mean, median, block[ceil(n * 0.05) - 1], block[ceil(n * 0.95) - 1]
+    n = block.shape[-1]
+    mean = block.mean(axis=-1)
+    block.sort(axis=-1)
+    median = (block[..., (n - 1) // 2] + block[..., n // 2]) / 2
+    return mean, median, block[..., ceil(n * 0.05) - 1], block[..., ceil(n * 0.95) - 1]
 
 
 def summarize(
@@ -85,31 +82,34 @@ def summarize(
     original_n: int,
     m: int,
 ) -> PosteriorSummary:
-    """Pointwise posterior mean/median/5%/95% surfaces on a user grid."""
+    """Pointwise posterior mean/median/5%/95% surfaces on a user grid.
+
+    Besides the draws' bin masses, it holds about n * nf + 4 * nt * nf floats
+    for n draws on an nt x nf grid.
+    """
     if len(samples) == 0:
         raise ValueError("empty posterior sample set")
     time_grid = np.asarray(time_grid, dtype=float)
     freq_grid = np.asarray(freq_grid, dtype=float)
     u = map_to_internal_time(time_grid, original_n, m)
-    nt, nf = u.size, freq_grid.size
-    n = len(samples)
+    nf, n = freq_grid.size, len(samples)
 
-    # The statistics do not depend on draw order, so the block holds the
-    # draws group by group, each group's surfaces B_u.T @ w @ B_lam written
-    # in place (out=) per time chunk.  The chunk keeps the block near
-    # BLOCK_FLOATS floats.
-    groups = _draw_groups(samples, u, freq_grid)
-    stats = np.empty((4, nt, nf))  # mean, median, q05, q95
-    chunk = max(1, BLOCK_FLOATS // (n * nf))
-    for lo in range(0, nt, chunk):
-        hi = min(nt, lo + chunk)
-        block = np.empty((n, hi - lo, nf))
+    # The statistics do not depend on draw order, so one (nf, n) block holds
+    # the draws group by group, each cell's n draws contiguous for the sort.
+    # Each distinct internal time is computed once (the grid times clamped to
+    # 0 or 1 share one): a group's row surfaces (B_u[:, i] @ w) @ B_lam are
+    # written transposed into its columns of the block (out=).
+    times, row = np.unique(u, return_inverse=True)
+    groups = _draw_groups(samples, times, freq_grid)
+    stats = np.empty((4, times.size, nf))  # mean, median, q05, q95
+    block = np.empty((nf, n))
+    for i in range(times.size):
         start = 0
         for B_u, B_lam, w in groups:
-            np.matmul(B_u[:, lo:hi].T @ w, B_lam, out=block[start : start + len(w)])
+            np.matmul(B_lam.T, (B_u[:, i] @ w).T, out=block[:, start : start + len(w)])
             start += len(w)
-        stats[:, lo:hi] = _pointwise_stats(block)
-    mean, median, q05, q95 = stats
+        stats[:, i] = _pointwise_stats(block)
+    mean, median, q05, q95 = stats[:, row]
 
     k1_pmf = np.bincount(samples.k1, minlength=samples.prior.k_max + 1)[1:] / n
     k2_pmf = np.bincount(samples.k2, minlength=samples.prior.k_max + 1)[1:] / n

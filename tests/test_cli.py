@@ -63,6 +63,18 @@ def inline_pool(monkeypatch):
     return pools
 
 
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Spies on reading the input and computing the periodogram; returns the calls made."""
+    calls = []
+    for name in ("_read_series_csv", "moving_periodograms"):
+        def wrapped(*args, _name=name, _fn=getattr(tvspec.cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(tvspec.cli, name, wrapped)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def series_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "series.csv"
@@ -225,25 +237,25 @@ class TestEstimate:
         ("--xi-r", "nan", "xi_right"),
         ("--burnin", "-5", "burn_in"),
     ])
-    def test_bad_config_fails_before_any_work(self, tmp_path, series_file, monkeypatch,
+    def test_bad_config_fails_before_any_work(self, tmp_path, series_file, work_calls,
                                               inline_pool, capsys, flag, value, message, chains):
-        calls = []
-
-        def spy(name):
-            fn = getattr(tvspec.cli, name)
-
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(tvspec.cli, name, wrapped)
-
-        spy("_read_series_csv")
-        spy("moving_periodograms")
         out = tmp_path / "o"
         assert main(["estimate", "--input", str(series_file), "--m", "15", flag, value,
                      "--chains", chains, "--output-dir", str(out)]) == 3
         assert message in capsys.readouterr().err
-        assert calls == []
+        assert work_calls == []
+        assert inline_pool == []  # no worker pool either
+        assert not out.exists()
+
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_run_beyond_physical_memory_fails_before_any_work(
+            self, tmp_path, series_file, work_calls, inline_pool, capsys, chains):
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(series_file), "--m", "15",
+                     "--time-grid", "1000000", "--freq-grid", "1000000",
+                     "--chains", chains, "--output-dir", str(out)]) == 3
+        assert "GiB of physical memory" in capsys.readouterr().err
+        assert work_calls == []
         assert inline_pool == []  # no worker pool either
         assert not out.exists()
 

@@ -1,15 +1,13 @@
 """Tests for posterior summaries, Bayes factor and ASE."""
 
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvspec import inference
 from tvspec.inference import (
-    BLOCK_FLOATS,
     _pointwise_stats,
     ase,
     map_to_internal_time,
@@ -114,6 +112,22 @@ class TestSummarize:
         mean = posterior_mean_surface(s, tg, fg, 300, 20)
         assert np.allclose(mean, out.mean, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1000, 100])
+    def test_peak_memory(self, n):
+        # The block of draws and the statistics bound what summarize holds:
+        # nf * n + 4 * nt * nf floats, with room for three times that.
+        rng = np.random.default_rng(83)
+        nt, nf = 201, 101
+        k1, k2 = rng.integers(1, 12, size=(2, n))
+        samples = make_samples(k1, rng.normal(size=n), seed=84, k2=k2)
+        tracemalloc.start()
+        try:
+            summarize(samples, np.linspace(0, 1, nt), np.linspace(0, 1, nf), 1500, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (nf * n + 4 * nt * nf) * 8
+
 
 def per_draw_stats(samples, time_grid, freq_grid):
     """Reference summary: every draw through evaluate_surface, then numpy statistics."""
@@ -139,8 +153,8 @@ def assert_summary_matches_reference(samples, time_grid, freq_grid):
 
 
 class TestSummarizeAgainstPerDrawSurfaces:
-    """summarize stacks draws by degrees and chunks the time axis; the
-    statistics must not depend on either."""
+    """summarize stacks draws by degrees and computes each distinct internal
+    time once; the statistics must not depend on either."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -149,26 +163,24 @@ class TestSummarizeAgainstPerDrawSurfaces:
         n=st.integers(1, 60),
         nt=st.integers(1, 9),
         nf=st.integers(1, 9),
-        block_floats=st.sampled_from([1, 10, 100, BLOCK_FLOATS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(degrees=[(3, 4)], n=1, nt=5, nf=4, block_floats=BLOCK_FLOATS, seed=0)
-    @example(degrees=[(2, 5), (6, 3), (2, 3)], n=9, nt=4, nf=3, block_floats=1, seed=1)
-    def test_matches_numpy_on_each_draw(self, degrees, n, nt, nf, block_floats, seed):
+    @example(degrees=[(3, 4)], n=1, nt=5, nf=4, seed=0)
+    @example(degrees=[(2, 5), (6, 3), (2, 3)], n=1, nt=4, nf=3, seed=1)
+    @example(degrees=[(2, 5), (6, 3), (2, 3)], n=9, nt=4, nf=3, seed=1)
+    def test_matches_numpy_on_each_draw(self, degrees, n, nt, nf, seed):
         # Draws pick their degree pair at random, so the groups interleave.
         rng = np.random.default_rng(seed)
         k1, k2 = np.array(degrees)[rng.integers(0, len(degrees), size=n)].T
         samples = make_samples(k1, rng.normal(size=n), seed=seed, k2=k2)
-        with mock.patch.object(inference, "BLOCK_FLOATS", block_floats):
-            assert_summary_matches_reference(
-                samples, np.linspace(0, 1, nt), np.sort(rng.uniform(size=nf))
-            )
+        assert_summary_matches_reference(
+            samples, np.linspace(0, 1, nt), np.sort(rng.uniform(size=nf))
+        )
 
     def test_one_time_row_wider_than_the_block(self):
-        # 1000 draws x 1001 frequencies exceed BLOCK_FLOATS: one time row per chunk.
+        # 1000 draws x 1001 frequencies in one time row.
         rng = np.random.default_rng(81)
         n, nf = 1000, 1001
-        assert n * nf > BLOCK_FLOATS
         k1, k2 = rng.integers(1, 6, size=(2, n))
         samples = make_samples(k1, rng.normal(size=n), seed=82, k2=k2)
         assert_summary_matches_reference(samples, [0.2, 0.7], np.linspace(0, 1, nf))
@@ -190,13 +202,15 @@ class TestPointwiseStats:
         # Few distinct levels give ties; many give distinct values.
         rng = np.random.default_rng(seed)
         block = rng.integers(0, levels, size=(n, cells)) + rng.uniform(size=(n, cells)) * (levels > 25)
+        # numpy's summation order follows memory layout, so the exact mean
+        # reference sums each cell's draws contiguously, as summarize stores them.
         ref = (
-            block.mean(axis=0),
+            np.ascontiguousarray(block.T).mean(axis=-1),
             np.median(block, axis=0),
             np.quantile(block, 0.05, axis=0, method="inverted_cdf"),
             np.quantile(block, 0.95, axis=0, method="inverted_cdf"),
         )
-        for got, want in zip(_pointwise_stats(block.copy()), ref):
+        for got, want in zip(_pointwise_stats(block.T.copy()), ref):
             assert np.array_equal(got, want)
 
 
