@@ -35,6 +35,7 @@ from .surface import BetaBasisConfig
 
 FLOAT_FMT = "%.17g"
 WRITE_ROWS = 1024  # rows per block of _write_table
+SURFACE_HEADER = "u,lambda,mean,median,q05,q95"  # estimate writes it, ase requires it
 
 
 class DataError(RuntimeError):
@@ -149,7 +150,7 @@ def _estimate_one(
         out_dir / "surface.csv",
         np.column_stack([c.ravel() for c in columns]),
         FLOAT_FMT,
-        "u,lambda,mean,median,q05,q95",
+        SURFACE_HEADER,
     )
     if args.save_draws:
         np.savez_compressed(
@@ -250,41 +251,29 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _read_surface_csv(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"surface file not found: {path}")
-    data = np.genfromtxt(p, delimiter=",", names=True)
-    cols = data.dtype.names or ()
-    # genfromtxt may rename the keyword column "lambda" to "lambda_".
-    lam_col = "lambda_" if "lambda_" in cols else "lambda"
-    for col in ("u", lam_col, "mean"):
-        if col not in cols:
-            raise DataError(f"surface CSV missing column {col.rstrip('_')!r}")
-    return data["u"], data[lam_col], data["mean"]
-
-
 def cmd_ase(args) -> int:
-    u, lam, mean = _read_surface_csv(args.surface)
-    # estimate writes u in {0, 1/T, ..., 1}; the score uses {1/T, ..., 1}.
-    keep = u != 0.0
-    u, lam, mean = u[keep], lam[keep], mean[keep]
-    uu = np.unique(u)
-    ll = np.unique(lam)
-    T, K = uu.size, ll.size - 1
-    n_pairs = len(np.unique(np.column_stack((u, lam)), axis=0))
+    path = Path(args.surface)
+    if not path.is_file():
+        raise DataError(f"surface file not found: {args.surface}")
+    with path.open() as fh:
+        if fh.readline().rstrip("\n") != SURFACE_HEADER:
+            raise DataError(f"surface CSV header must be {SURFACE_HEADER!r}")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+    # u-major order; estimate writes u in {0, 1/T, ..., 1}, the score uses {1/T, ..., 1}.
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    u, lam, mean = table[table[:, 0] != 0.0].T
+    nf = np.count_nonzero(u == u[:1])  # rows per time
+    T, K = u.size // max(nf, 1), nf - 1
+    # Row by row against the grid, so a missing or repeated (u, lambda) pair fails too.
     if not (
-        T >= 1
-        and K >= 1
-        and n_pairs == u.size == T * (K + 1)
-        and np.allclose(uu, np.arange(1, T + 1) / T, atol=1e-9)
-        and np.allclose(ll, np.arange(0, K + 1) / K, atol=1e-9)
+        T >= 1 and K >= 1 and u.size == T * nf
+        and np.allclose(u, np.repeat(np.arange(1, T + 1) / T, nf), atol=1e-9)
+        and np.allclose(lam, np.tile(np.arange(nf) / K, T), atol=1e-9)
     ):
         raise DataError(
             "surface grid mismatch: expected u in {1/T..1} and lambda in {0..1} with step 1/K"
         )
-    # The table is the estimate on the very grid ase() scores.
-    est = mean[np.lexsort((lam, u))].reshape(T, K + 1)
+    est = mean.reshape(T, nf)  # the estimate on the very grid ase() scores
     value = ase(lambda uq, lq: est, lambda uq, lq: true_tv_psd(args.dgp, uq, lq), T, K)
     print(FLOAT_FMT % value)
     return 0

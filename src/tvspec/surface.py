@@ -54,7 +54,10 @@ def truncated_beta_density(x, a, b, cfg: BetaBasisConfig = DEFAULT_BASIS):
     if not np.all((a >= 1.0) & (b >= 1.0)):
         raise ValueError("shape parameters must be >= 1")
     y = cfg.xi_left + np.asarray(x, dtype=float) * (cfg.xi_right - cfg.xi_left)
-    mass = betainc(a, b, cfg.xi_right) - betainc(a, b, cfg.xi_left)
+    # The mass of [xi_left, xi_right] as a difference on the smaller tail, which cannot cancel.
+    lower = betainc(a, b, cfg.xi_left)
+    upper = betainc(b, a, 1.0 - cfg.xi_left) - betainc(b, a, 1.0 - cfg.xi_right)
+    mass = np.where(lower > 0.5, upper, betainc(a, b, cfg.xi_right) - lower)
     return (cfg.xi_right - cfg.xi_left) / mass * _beta_pdf(y, a, b)
 
 

@@ -354,6 +354,40 @@ class TestAseCommand:
         expected = ase(estimate, lambda u, lam: true_tv_psd("LS3", u, lam), 20, 15)
         assert printed == expected
 
+    def test_shuffled_rows_score_the_same(self, tmp_path, series_file, capsys):
+        out = run_estimate(tmp_path, series_file, "run")
+        lines = (out / "surface.csv").read_text().splitlines(keepends=True)
+        body = lines[1:]
+        np.random.default_rng(0).shuffle(body)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("".join(lines[:1] + body))
+        capsys.readouterr()
+        scores = []
+        for path in (out / "surface.csv", shuffled):
+            assert main(["ase", "--surface", str(path), "--dgp", "LS3"]) == 0
+            scores.append(float(capsys.readouterr().out.strip()))
+        assert scores[0] == scores[1]
+
+    def test_other_header_exit_3(self, tmp_path, capsys):
+        surf = tmp_path / "surf.csv"
+        self._write_surface(surf, "S2", 10, 9)
+        table = np.loadtxt(surf, delimiter=",", skiprows=1)
+        np.savetxt(surf, table[:, [2, 0, 1, 3, 4, 5]], fmt="%.17g", delimiter=",",
+                   header="mean,u,lambda,median,q05,q95", comments="")
+        assert main(["ase", "--surface", str(surf), "--dgp", "S2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: surface CSV header must be 'u,lambda,mean,median,q05,q95'\n"
+        )
+
+    def test_repeated_pair_exit_3(self, tmp_path, capsys):
+        surf = tmp_path / "surf.csv"
+        self._write_surface(surf, "S2", 10, 9)
+        lines = surf.read_text().splitlines(keepends=True)
+        # Row 45 is (u, lambda) = (0.5, 0.444...), on no edge of the grid.
+        surf.write_text("".join(lines + [lines[45]]))
+        assert main(["ase", "--surface", str(surf), "--dgp", "S2"]) == 3
+        assert "surface grid mismatch" in capsys.readouterr().err
+
     def test_grid_mismatch_exit_3(self, tmp_path, capsys):
         surf = tmp_path / "surf.csv"
         with open(surf, "w") as fh:

@@ -119,20 +119,41 @@ class TestTruncatedBetaDensity:
         with pytest.raises(ValueError):
             truncated_beta_density(0.5, 0, 3)
 
-    # Past these truncation points the k = 100 normalizer loses its digits:
-    # betainc(1, 100, xi_left) rounds towards 1 from xi_left ~ 0.3.
+    # The normalizer is the mass of [xi_left, xi_right] as a difference on
+    # the smaller tail: the lower-tail difference alone loses its digits once
+    # betainc(1, 100, xi_left) rounds towards 1 (xi_left ~ 0.3). The
+    # reference takes the same difference, the upper one through beta.sf.
     @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 100), xi_left=st.floats(0.01, 0.25), xi_right=st.floats(0.75, 0.99))
+    @given(k=st.integers(1, 100), xi_left=st.floats(0.01, 0.49), xi_right=st.floats(0.75, 0.99))
     @example(k=9, xi_left=0.2, xi_right=0.7)
+    @example(k=100, xi_left=0.45, xi_right=0.9)
     def test_matches_scipy_truncated_form(self, k, xi_left, xi_right):
         cfg = BetaBasisConfig(xi_left=xi_left, xi_right=xi_right)
         x = np.linspace(0, 1, 21)
         y = cfg.xi_left + x * (cfg.xi_right - cfg.xi_left)
         j = np.arange(1, k + 1)[:, None]
         beta = stats.beta(j, k - j + 1)
-        mass = beta.cdf(cfg.xi_right) - beta.cdf(cfg.xi_left)
+        lower = beta.cdf(cfg.xi_left)
+        mass = np.where(
+            lower > 0.5,
+            beta.sf(cfg.xi_left) - beta.sf(cfg.xi_right),
+            beta.cdf(cfg.xi_right) - lower,
+        )
         ref = (cfg.xi_right - cfg.xi_left) / mass * beta.pdf(y)
         assert np.allclose(basis_matrix(x, k, cfg), ref, rtol=1e-10, atol=0.0)
+
+    # Row j of basis_matrix is a polynomial of degree k - 1 <= 99 in x, so
+    # 50-point Gauss-Legendre quadrature on [0, 1] integrates it exactly up
+    # to rounding (at most about 2e-13 relative seen); rtol 1e-9 bounds it.
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 100), xi_left=st.floats(0.01, 0.49), xi_right=st.floats(0.51, 0.99))
+    @example(k=100, xi_left=0.45, xi_right=0.9)
+    def test_basis_rows_finite_and_normalized(self, k, xi_left, xi_right):
+        cfg = BetaBasisConfig(xi_left=xi_left, xi_right=xi_right)
+        nodes, weights = np.polynomial.legendre.leggauss(50)
+        B = basis_matrix(np.concatenate(((1.0 + nodes) / 2.0, [0.0, 1.0])), k, cfg)
+        assert np.all(np.isfinite(B)) and np.all(B > 0.0)
+        assert np.allclose(B[:, :-2] @ (weights / 2.0), 1.0, rtol=1e-9, atol=0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
