@@ -39,7 +39,6 @@ from .sampler import SamplerConfig, PosteriorSampleSet, run_chain
 from .inference import (
     PosteriorSummary,
     summarize,
-    posterior_mean_surface,
     savage_dickey_bf,
     ase,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "run_chain",
     "PosteriorSummary",
     "summarize",
-    "posterior_mean_surface",
     "savage_dickey_bf",
     "ase",
 ]

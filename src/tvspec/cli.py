@@ -57,15 +57,6 @@ def _write_table(path: Path, table: np.ndarray, fmt, header: str):
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _default_seed(args_seed) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("TVSPEC_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
 def _read_series_csv(path: str) -> TimeSeries:
     p = Path(path)
     if not p.is_file():
@@ -95,12 +86,11 @@ def _read_series_csv(path: str) -> TimeSeries:
 
 
 def cmd_simulate(args) -> int:
-    seed = _default_seed(args.seed)
     spec = DgpSpec(model=args.dgp, innovation=InnovationSpec(args.innov), T=args.T)
-    series = simulate_dgp(spec, np.random.default_rng(seed))
+    series = simulate_dgp(spec, np.random.default_rng(args.seed))
     out = Path(args.output)
     _write_table(out, series.values[:, None], FLOAT_FMT, "x")
-    print(f"wrote {len(series)} samples to {out} (seed {seed})")
+    print(f"wrote {len(series)} samples to {out} (seed {args.seed})")
     return 0
 
 
@@ -211,14 +201,15 @@ def _check_fits(args, workers: int):
 
 
 def cmd_estimate(args) -> int:
-    seed = _default_seed(args.seed)
     # Bad settings fail here, before the input is read or a worker started.
     prior_cfg = PriorConfig(
         k_max=args.kmax,
         basis=BetaBasisConfig(xi_left=args.xi_l, xi_right=args.xi_r),
         truncation_override=args.truncation_L,
     )
-    sampler_cfg = SamplerConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin, seed=seed)
+    sampler_cfg = SamplerConfig(
+        n_iter=args.iters, burn_in=args.burnin, thin=args.thin, seed=args.seed
+    )
     workers = min(args.chains, os.cpu_count() or 1)
     _check_fits(args, workers)
     series = _read_series_csv(args.input)
@@ -231,7 +222,7 @@ def cmd_estimate(args) -> int:
     # records its own, which reruns that chain alone as --seed.
     seeds = [
         int(child.generate_state(1, np.uint64)[0])
-        for child in np.random.SeedSequence(seed).spawn(args.chains)
+        for child in np.random.SeedSequence(args.seed).spawn(args.chains)
     ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -298,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dgp", required=True, choices=VALID_DGPS)
     p_sim.add_argument("--innov", default="a", choices=sorted(INNOVATION_ALIASES))
     p_sim.add_argument("--T", type=_positive_int, default=1500)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output", default="series.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -315,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--iters", type=_positive_int, default=110_000)
     p_est.add_argument("--burnin", type=int, default=60_000)
     p_est.add_argument("--thin", type=_positive_int, default=5)
-    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--kmax", type=_positive_int, default=100)
     p_est.add_argument("--xi-l", dest="xi_l", type=float, default=0.1)
     p_est.add_argument("--xi-r", dest="xi_r", type=float, default=0.9)

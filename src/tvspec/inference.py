@@ -22,9 +22,6 @@ class PosteriorSummary:
     median.
     """
 
-    time_grid: np.ndarray
-    freq_grid: np.ndarray
-    internal_time: np.ndarray
     mean: np.ndarray
     median: np.ndarray
     q05: np.ndarray
@@ -48,19 +45,20 @@ def map_to_internal_time(v, original_n: int, m: int) -> np.ndarray:
 
 
 def _draw_groups(samples: PosteriorSampleSet, u: np.ndarray, lam: np.ndarray) -> list:
-    """(B_u, B_lam, w) per distinct (k1, k2): basis tables on u and lam, and the
+    """(B_lam, parts) per distinct k2: the basis table on lam and, for each
+    distinct k1 among those draws, (B_u, w) with the basis table on u and the
     (g, k1, k2) tau-scaled bin masses of the g draws at those degrees."""
     cfg = samples.prior.basis
     B_u = {k: basis_matrix(u, k, cfg) for k in np.unique(samples.k1).tolist()}
     B_lam = {k: basis_matrix(lam, k, cfg) for k in np.unique(samples.k2).tolist()}
     p = np.exp(samples.log_tau)[:, None] * stick_weights(samples.V)
     keys, group = np.unique(np.column_stack((samples.k1, samples.k2)), axis=0, return_inverse=True)
-    groups = []
+    parts = {k: [] for k in B_lam}
     for g, (k1, k2) in enumerate(keys.tolist()):
         rows = group.ravel() == g
         bins1, bins2 = atom_bins(k1, samples.W1[rows]), atom_bins(k2, samples.W2[rows])
-        groups.append((B_u[k1], B_lam[k2], bin_masses(p[rows], bins1, bins2, k1, k2)))
-    return groups
+        parts[k2].append((B_u[k1], bin_masses(p[rows], bins1, bins2, k1, k2)))
+    return [(B_lam[k], parts[k]) for k in B_lam]
 
 
 def _pointwise_stats(block: np.ndarray):
@@ -89,25 +87,26 @@ def summarize(
     """
     if len(samples) == 0:
         raise ValueError("empty posterior sample set")
-    time_grid = np.asarray(time_grid, dtype=float)
     freq_grid = np.asarray(freq_grid, dtype=float)
     u = map_to_internal_time(time_grid, original_n, m)
     nf, n = freq_grid.size, len(samples)
 
     # The statistics do not depend on draw order, so one (nf, n) block holds
-    # the draws group by group, each cell's n draws contiguous for the sort.
+    # the draws k2 by k2, each cell's n draws contiguous for the sort.
     # Each distinct internal time is computed once (the grid times clamped to
-    # 0 or 1 share one): a group's row surfaces (B_u[:, i] @ w) @ B_lam are
-    # written transposed into its columns of the block (out=).
+    # 0 or 1 share one): the rows B_u[:, i] @ w of every k1 at one k2 are
+    # stacked, and one product with B_lam writes them transposed into their
+    # columns of the block (out=).
     times, row = np.unique(u, return_inverse=True)
     groups = _draw_groups(samples, times, freq_grid)
     stats = np.empty((4, times.size, nf))  # mean, median, q05, q95
     block = np.empty((nf, n))
     for i in range(times.size):
         start = 0
-        for B_u, B_lam, w in groups:
-            np.matmul(B_lam.T, (B_u[:, i] @ w).T, out=block[:, start : start + len(w)])
-            start += len(w)
+        for B_lam, parts in groups:
+            stacked = np.concatenate([B_u[:, i] @ w for B_u, w in parts])
+            np.matmul(B_lam.T, stacked.T, out=block[:, start : start + len(stacked)])
+            start += len(stacked)
         stats[:, i] = _pointwise_stats(block)
     mean, median, q05, q95 = stats[:, row]
 
@@ -115,9 +114,6 @@ def summarize(
     k2_pmf = np.bincount(samples.k2, minlength=samples.prior.k_max + 1)[1:] / n
 
     return PosteriorSummary(
-        time_grid=time_grid,
-        freq_grid=freq_grid,
-        internal_time=u,
         mean=mean,
         median=median,
         q05=q05,
@@ -126,25 +122,6 @@ def summarize(
         k2_pmf=k2_pmf,
         bayes_factor_01=savage_dickey_bf(samples, samples.prior),
     )
-
-
-def posterior_mean_surface(
-    samples: PosteriorSampleSet,
-    time_grid,
-    freq_grid,
-    original_n: int,
-    m: int,
-) -> np.ndarray:
-    """Posterior mean surface; the surface is linear in the bin masses, so
-    each (k1, k2) group of draws costs one contraction of its summed masses."""
-    if len(samples) == 0:
-        raise ValueError("empty posterior sample set")
-    freq_grid = np.asarray(freq_grid, dtype=float)
-    u = map_to_internal_time(time_grid, original_n, m)
-    acc = np.zeros((u.size, freq_grid.size))
-    for B_u, B_lam, w in _draw_groups(samples, u, freq_grid):
-        acc += B_u.T @ w.sum(axis=0) @ B_lam
-    return acc / len(samples)
 
 
 def savage_dickey_bf(samples: PosteriorSampleSet, prior_cfg: PriorConfig) -> float:

@@ -28,7 +28,6 @@ class EvaluationError(RuntimeError):
 class LikelihoodGrid:
     """(time, frequency) index set of a (thinned) dynamic Whittle likelihood."""
 
-    thinning: int
     T: int
     m: int
     t: np.ndarray  # internal time indices, 1-based
@@ -58,7 +57,6 @@ def build_grid(T: int, m: int, thinning: int = 1) -> LikelihoodGrid:
     # Time t is in block (t - 1) // m; every thinning-th block is kept.
     t = np.flatnonzero((np.arange(T) // m) % thinning == 0) + 1
     return LikelihoodGrid(
-        thinning=thinning,
         T=T,
         m=m,
         t=t,

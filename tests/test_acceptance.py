@@ -12,7 +12,6 @@ from scipy.special import gammaln
 
 import tvspec as tv
 from tvspec.cli import main as cli_main
-from tvspec.inference import posterior_mean_surface
 from tvspec.periodogram import mod_index
 from tvspec.prior import degree_pmf
 from tvspec.sampler import SamplerConfig, run_chain
@@ -223,7 +222,7 @@ def test_criterion_09_end_to_end_ls1a(capsys):
         n, m, K = 1500, 50, 99
         tgrid = np.arange(1, n + 1) / n
         fgrid = np.arange(0, K + 1) / K
-        mean = posterior_mean_surface(samples, tgrid, fgrid, n, m)
+        mean = tv.summarize(samples, tgrid, fgrid, n, m).mean
         assert np.all(mean > 0.0)
 
         summary = tv.summarize(samples, np.linspace(0, 1, 41),

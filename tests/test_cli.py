@@ -113,11 +113,12 @@ class TestSimulate:
         assert "must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_default_seed_is_zero(self, tmp_path, monkeypatch):
+        # The environment does not set the seed; only --seed does.
         monkeypatch.setenv("TVSPEC_SEED", "321")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["simulate", "--dgp", "S1", "--T", "80", "--output", str(a)])
-        main(["simulate", "--dgp", "S1", "--T", "80", "--seed", "321",
+        main(["simulate", "--dgp", "S1", "--T", "80", "--seed", "0",
               "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
