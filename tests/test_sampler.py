@@ -7,10 +7,10 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit, logit, logsumexp
 
 import tvspec.sampler
 from tvspec.inference import savage_dickey_bf
@@ -30,6 +30,8 @@ from tvspec.sampler import (
     PosteriorSampleSet,
     SamplerConfig,
     _Chain,
+    _expit,
+    _logit,
     block_rates,
     run_chain,
 )
@@ -197,7 +199,7 @@ class TestCacheGuard:
                 chain.sweep()
             assert checks == dict.fromkeys(BLOCK_NAMES, sweeps)
 
-    @pytest.mark.parametrize("key", ["p", "A", "C", "ll", "G", "bins", "terms"])
+    @pytest.mark.parametrize("key", ["p", "A", "C", "ll", "G", "bins", "terms", "x"])
     def test_one_ulp_off_is_caught(self, key):
         # The check is exact: one ulp on one cached float (one bin off by
         # one) must fail it, naming the key.
@@ -211,6 +213,8 @@ class TestCacheGuard:
             value["W1"][0] += 1
         elif key == "terms":
             value["tau"] = np.nextafter(value["tau"], np.inf)
+        elif key == "x":
+            value["V"][0] = np.nextafter(value["V"][0], np.inf)
         elif key in ("p", "G"):
             value.flat[0] = np.nextafter(value.flat[0], np.inf)
         else:
@@ -326,22 +330,77 @@ class TestInitialization:
             run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=50, burn_in=0, thin=1, seed=1))
 
 
+class TestLogistic:
+    # _expit and _logit make the libm calls of scipy.special.expit and logit,
+    # so they must give the same floats, NaN in the same places.
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.lists(st.floats(), max_size=25))
+    @example(z=[np.inf, -np.inf, np.nan, 0.0, -0.0, 40.0, -40.0])
+    @example(z=[709.78, -709.78, 745.2, -745.2, 800.0, -800.0])
+    # exp(-z) overflows just past z = -ln(DBL_MAX) = -709.782712893384.
+    @example(z=[-709.79, -709.782712893384, np.nextafter(-709.782712893384, -np.inf)])
+    def test_expit_matches_scipy(self, z):
+        z = np.array(z, dtype=float)
+        assert np.array_equal(_expit(z), expit(z), equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.lists(st.floats(0.0, 1.0) | st.floats(), max_size=25))
+    @example(q=[0.0, 5e-324, 0.3, 0.5, 0.65, 1.0 - 2.0**-53, 1.0])
+    @example(q=[-0.0, np.nan, np.inf, -np.inf, -1.0, 2.0, np.nextafter(0.3, 0), 0.65000001])
+    def test_logit_matches_scipy(self, q):
+        q = np.array(q, dtype=float)
+        assert np.array_equal(_logit(q), logit(q), equal_nan=True)
+
+    def test_normal_and_uniform_draws_match_scipy(self):
+        rng = np.random.default_rng(27)
+        for scale in (4.0, 5.0):
+            z = scale * rng.standard_normal(100_000)
+            assert np.array_equal(_expit(z), expit(z))
+        q = rng.uniform(size=100_000)
+        assert np.array_equal(_logit(q), logit(q))
+
+
 class TestStickMoves:
-    def test_stick_rounding_to_one_is_rejected(self):
+    @staticmethod
+    def assert_stick_move_rejected(increment):
         pg, grid = make_inputs()
         chain = _Chain(pg, grid, PriorConfig(), SamplerConfig(seed=16))
-        chain._propose_increment = lambda name, dim: np.full(dim, 40.0)
+        chain._propose_increment = lambda name, dim: np.full(dim, increment)
         zV, A, C = chain.z["V"].copy(), chain.A, chain.C
         expected_rng = copy.deepcopy(chain.rng)
         expected_rng.uniform()
         chain.iteration = 1  # the move is recorded in the first row of the log
-        chain.moves["V"](chain, "V")  # expit(0 + 40) rounds to 1.0
+        chain.moves["V"](chain, "V")
         col = BLOCK_NAMES.index("V")
         assert np.argwhere(chain.log).tolist() == [[0, col]]  # one recorded outcome
         assert chain.log[0, col] == REJECT
         assert np.array_equal(chain.z["V"], zV) and (chain.A, chain.C) == (A, C)
         assert chain.rng.bit_generator.state == expected_rng.bit_generator.state
         chain.check_cache_drift()
+
+    def test_stick_rounding_to_one_is_rejected(self):
+        self.assert_stick_move_rejected(40.0)  # expit(0 + 40) rounds to 1.0
+
+    def test_stick_rounding_to_zero_is_rejected(self):
+        # exp(800) overflows: expit(0 - 800) is 0.0, a rejected stick, not an
+        # OverflowError.
+        self.assert_stick_move_rejected(-800.0)
+
+    def test_sweep_calls_expit_three_times(self, monkeypatch):
+        # Only the W1, W2 and V proposals need new natural-scale values; the
+        # degree moves and the retained draws read the cached atoms and sticks.
+        calls = []
+
+        def counted(z):
+            calls.append(z.size)
+            return _expit(z)
+
+        monkeypatch.setattr(tvspec.sampler, "_expit", counted)
+        pg, grid = shared_inputs()
+        cfg = SamplerConfig(n_iter=400, burn_in=100, thin=1, seed=4)
+        run_chain(pg, grid, PriorConfig(), cfg)
+        # The initial cache: V, W1 and W2, and V once more for its prior term.
+        assert len(calls) == 4 + 3 * cfg.n_iter
 
 
 class TestDegreeMoves:

@@ -95,7 +95,7 @@ class TestTruncatedBetaDensity:
         cfg = BetaBasisConfig()
         rng = np.random.default_rng(33)
         shapes = [(int(rng.integers(1, 61)), int(rng.integers(1, 61))) for _ in range(25)]
-        for a, b in shapes + [(2.5, 3)]:  # non-integer shapes are used as given
+        for a, b in shapes:
             val, err = integrate.quad(
                 lambda x: float(truncated_beta_density(x, a, b, cfg)), 0.0, 1.0,
                 limit=200,
@@ -118,6 +118,9 @@ class TestTruncatedBetaDensity:
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             truncated_beta_density(0.5, 0, 3)
+        # The Bernstein basis only ever uses integer shapes (j, k - j + 1).
+        with pytest.raises(ValueError, match="integers"):
+            truncated_beta_density(0.5, 2.5, 3)
 
     # The normalizer is the mass of [xi_left, xi_right] as a difference on
     # the smaller tail: the lower-tail difference alone loses its digits once
