@@ -29,7 +29,6 @@ from .surface import (
     StickBreakingMeasure,
     SurfaceParams,
     stick_weights,
-    truncated_beta_density,
     evaluate_surface,
     weights_from_measure,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "StickBreakingMeasure",
     "SurfaceParams",
     "stick_weights",
-    "truncated_beta_density",
     "evaluate_surface",
     "weights_from_measure",
     "LikelihoodGrid",

@@ -74,17 +74,13 @@ def entry_ordinates(periodograms: MovingPeriodogramSet, grid: LikelihoodGrid) ->
 
 
 def log_dynamic_whittle(
-    surface,
+    f: np.ndarray,
     periodograms: MovingPeriodogramSet,
     grid: LikelihoodGrid,
 ) -> float:
-    """Log of the (thinned) dynamic Whittle likelihood.
-
-    ``surface`` is either a vectorized callable f(u, lam) or an array of
-    surface values aligned with the grid entries.
-    """
+    """Log of the (thinned) dynamic Whittle likelihood of the surface values
+    ``f`` at the grid entries (one value per entry, in the grid's order)."""
     mi = entry_ordinates(periodograms, grid)
-    f = surface if isinstance(surface, np.ndarray) else np.asarray(surface(grid.u, grid.lam))
     bad = ~(np.isfinite(f) & (f > 0.0) & np.isfinite(mi))
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])

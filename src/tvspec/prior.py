@@ -17,7 +17,7 @@ from math import ceil, lgamma, log
 
 import numpy as np
 
-from .surface import BetaBasisConfig, StickBreakingMeasure, SurfaceParams
+from .surface import BetaBasisConfig, StickBreakingMeasure, SurfaceParams, basis_matrix
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,15 @@ class PriorConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        # Once the smallest interval mass of a degree is subnormal, width / mass
+        # overflows; the degrees where it does lie above a threshold, so the
+        # chain's largest degree is the one to check.
+        with np.errstate(all="ignore"):
+            if not np.all(np.isfinite(basis_matrix([0.0, 1.0], self.k_max, self.basis))):
+                raise ValueError(
+                    f"k_max={self.k_max} is too large for the truncation "
+                    f"[{self.basis.xi_left}, {self.basis.xi_right}]: its basis is not finite"
+                )
         for name in ("degree_decay", "dp_mass", "tau_shape", "tau_rate"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")

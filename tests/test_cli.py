@@ -242,11 +242,12 @@ class TestEstimate:
         ("--xi-l", "0.95", "xi_left"),
         ("--xi-r", "nan", "xi_right"),
         ("--burnin", "-5", "burn_in"),
+        ("--xi-l 0.45 --kmax", "1300", "k_max"),
     ])
     def test_bad_config_fails_before_any_work(self, tmp_path, series_file, work_calls,
                                               inline_pool, capsys, flag, value, message, chains):
         out = tmp_path / "o"
-        assert main(["estimate", "--input", str(series_file), "--m", "15", flag, value,
+        assert main(["estimate", "--input", str(series_file), "--m", "15", *flag.split(), value,
                      "--chains", chains, "--output-dir", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert work_calls == []

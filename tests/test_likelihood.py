@@ -100,7 +100,7 @@ class TestLogDynamicWhittle:
         pg = make_periodograms()
         g = build_grid(pg.T, pg.m, 1)
         c = 0.37
-        got = log_dynamic_whittle(lambda u, lam: np.full_like(u, c), pg, g)
+        got = log_dynamic_whittle(np.full(len(g), c), pg, g)
         expected = -len(g) * np.log(c) - pg.ordinates.sum() / c
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -148,13 +148,6 @@ class TestLogDynamicWhittle:
         g = build_grid(pg.T + 5, pg.m, 1)
         with pytest.raises(ValueError, match="do not match"):
             log_dynamic_whittle(np.ones(len(g)), pg, g)
-
-    def test_callable_and_array_agree(self):
-        pg = make_periodograms()
-        g = build_grid(pg.T, pg.m, 2)
-        fn = lambda u, lam: 0.5 + u + lam  # noqa: E731
-        arr = 0.5 + g.u + g.lam
-        assert log_dynamic_whittle(fn, pg, g) == log_dynamic_whittle(arr, pg, g)
 
 
 class MovingPgStub:

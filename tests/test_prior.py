@@ -17,7 +17,7 @@ from tvspec.prior import (
     sample_log_tau,
     sample_prior,
 )
-from tvspec.surface import evaluate_surface
+from tvspec.surface import BetaBasisConfig, evaluate_surface
 
 
 def invgamma_log_quantile(a, b, q):
@@ -47,6 +47,12 @@ class TestPriorConfig:
         for L in (0, -1):
             with pytest.raises(ValueError, match="truncation_override"):
                 PriorConfig(truncation_override=L)
+        # At [0.45, 0.9] the basis stops being finite near degree 1189 (the exact
+        # degree depends on libm); 1100 and 1300 lie well clear of it.
+        narrow = BetaBasisConfig(xi_left=0.45)
+        with pytest.raises(ValueError, match="k_max=1300 .* not finite"):
+            PriorConfig(k_max=1300, basis=narrow)
+        assert PriorConfig(k_max=1100, basis=narrow).k_max == 1100
 
     def test_truncation_rule(self):
         cfg = PriorConfig()

@@ -17,9 +17,14 @@ from tvspec.surface import (
     evaluate_surface,
     standard_basis_matrix,
     stick_weights,
-    truncated_beta_density,
     weights_from_measure,
 )
+
+
+def density(x, a, b, cfg=BetaBasisConfig()):
+    """Truncated-dilated beta density at integer shapes (a, b): row a of the
+    degree a + b - 1 basis table."""
+    return basis_matrix(x, a + b - 1, cfg)[a - 1]
 
 
 def random_params(rng, L=6, k_max=20, cfg=None):
@@ -89,7 +94,7 @@ class TestStickWeights:
 class TestTruncatedBetaDensity:
     def test_uniform_case(self):
         x = np.linspace(0, 1, 7)
-        assert np.allclose(truncated_beta_density(x, 1, 1), 1.0)
+        assert np.allclose(density(x, 1, 1), 1.0)
 
     def test_integrates_to_one_quadrature(self):
         cfg = BetaBasisConfig()
@@ -97,30 +102,27 @@ class TestTruncatedBetaDensity:
         shapes = [(int(rng.integers(1, 61)), int(rng.integers(1, 61))) for _ in range(25)]
         for a, b in shapes:
             val, err = integrate.quad(
-                lambda x: float(truncated_beta_density(x, a, b, cfg)), 0.0, 1.0,
+                lambda x: float(density(x, a, b, cfg)[0]), 0.0, 1.0,
                 limit=200,
             )
             assert val == pytest.approx(1.0, abs=1e-6), (a, b)
 
-    def test_reflection_symmetry_at_defaults(self):
-        cfg = BetaBasisConfig()  # xi_l + xi_r = 1
+    # With xi_left + xi_right = 1, shapes (a, b) at x and (b, a) at 1 - x
+    # give the same density: the table at 1 - x is the table at x upside down.
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 100), xi_left=st.floats(0.01, 0.49))
+    @example(k=13, xi_left=0.1)  # the defaults; row 5 holds shapes (5, 9)
+    def test_reflection_symmetry_at_defaults(self, k, xi_left):
+        cfg = BetaBasisConfig(xi_left=xi_left, xi_right=1.0 - xi_left)
         x = np.linspace(0, 1, 23)
-        a, b = 5, 9
-        left = truncated_beta_density(x, a, b, cfg)
-        right = truncated_beta_density(1.0 - x, b, a, cfg)
+        left = basis_matrix(x, k, cfg)
+        right = basis_matrix(1.0 - x, k, cfg)[::-1]
         assert np.allclose(left, right, atol=1e-12)
 
     def test_strictly_positive(self):
         x = np.linspace(0, 1, 101)
         for a, b in ((1, 100), (100, 1), (50, 51)):
-            assert np.all(truncated_beta_density(x, a, b) > 0.0)
-
-    def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            truncated_beta_density(0.5, 0, 3)
-        # The Bernstein basis only ever uses integer shapes (j, k - j + 1).
-        with pytest.raises(ValueError, match="integers"):
-            truncated_beta_density(0.5, 2.5, 3)
+            assert np.all(density(x, a, b) > 0.0)
 
     # The normalizer is the mass of [xi_left, xi_right] as a difference on
     # the smaller tail: the lower-tail difference alone loses its digits once
@@ -169,14 +171,6 @@ class TestBases:
         for k in range(1, 51):
             colsums = standard_basis_matrix(x, k).sum(axis=0)
             assert np.allclose(colsums, k, atol=1e-9), k
-
-    def test_basis_matrix_rows_match_density(self):
-        cfg = BetaBasisConfig()
-        x = np.linspace(0, 1, 13)
-        k = 8
-        B = basis_matrix(x, k, cfg)
-        for j in range(1, k + 1):
-            assert np.allclose(B[j - 1], truncated_beta_density(x, j, k - j + 1, cfg))
 
     def test_atom_bins(self):
         assert np.array_equal(atom_bins(2, [0.5, 0.51, 0.0]), [1, 2, 1])
@@ -249,11 +243,7 @@ class TestEvaluateSurface:
         m = StickBreakingMeasure(V=[1.0 - 1e-12], W1=[0.999, 0.999], W2=[0.999, 0.999])
         params = SurfaceParams(tau=2.0, k1=3, k2=3, measure=m, basis=cfg)
         u, lam = 0.3, 0.8
-        ref = (
-            2.0
-            * float(truncated_beta_density(u, 3, 1, cfg))
-            * float(truncated_beta_density(lam, 3, 1, cfg))
-        )
+        ref = 2.0 * float(density(u, 3, 1, cfg)[0]) * float(density(lam, 3, 1, cfg)[0])
         assert evaluate_surface(params, u, lam) == pytest.approx(ref, rel=1e-12)
 
     def test_linear_in_tau(self):
@@ -340,13 +330,15 @@ def shape_cases(draw):
 
 
 def double_sum(p, bins1, bins2, k1, k2, u, lam):
-    """Brute-force sum over atoms of p_l times the two truncated beta densities."""
+    """Brute-force sum over atoms of p_l times the two truncated beta densities,
+    atom by atom in Python; broadcasts over u and lam."""
+    u, lam = np.broadcast_arrays(u, lam)
     return sum(
         p_l
-        * truncated_beta_density(u, int(j1), k1 - int(j1) + 1)
-        * truncated_beta_density(lam, int(j2), k2 - int(j2) + 1)
+        * density(u.ravel(), int(j1), k1 - int(j1) + 1)
+        * density(lam.ravel(), int(j2), k2 - int(j2) + 1)
         for p_l, j1, j2 in zip(p, bins1, bins2)
-    )
+    ).reshape(u.shape)
 
 
 class TestSurfaceShape:
