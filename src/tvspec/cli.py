@@ -36,20 +36,23 @@ from .surface import BetaBasisConfig
 FLOAT_FMT = "%.17g"
 WRITE_ROWS = 1024  # rows per block of _write_table
 SURFACE_HEADER = "u,lambda,mean,median,q05,q95"  # estimate writes it, ase requires it
+# Peak bytes per degree of k_max: PriorConfig's basis check (tracemalloc, numpy 2.4).
+# The chain's degree_pmf and log_pmf and summarize's two pmfs take less, and later.
+KMAX_BYTES = 105
 
 
 class DataError(RuntimeError):
     """Input data problem; maps to exit code 3."""
 
 
-def _write_table(path: Path, table: np.ndarray, fmt, header: str):
+def _write_table(path: Path, table: np.ndarray, header: str):
     """Write a 2-D table as CSV under a one-line header, byte for byte as
-    ``np.savetxt(path, table, fmt=fmt, delimiter=",", header=header,
-    comments="")`` does; ``fmt`` is one format for every column or one per
-    column.  Each block of WRITE_ROWS rows is formatted by a single ``%``
-    over its values, not one per row; formatting the whole table at once
-    would hold a Python float per value."""
-    row = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+    ``np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",", header=header,
+    comments="")`` does; a whole number prints as ``%d`` prints it.  Each
+    block of WRITE_ROWS rows is formatted by a single ``%`` over its values,
+    not one per row; formatting the whole table at once would hold a Python
+    float per value."""
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(table), WRITE_ROWS):
@@ -89,7 +92,7 @@ def cmd_simulate(args) -> int:
     spec = DgpSpec(model=args.dgp, innovation=InnovationSpec(args.innov), T=args.T)
     series = simulate_dgp(spec, np.random.default_rng(args.seed))
     out = Path(args.output)
-    _write_table(out, series.values[:, None], FLOAT_FMT, "x")
+    _write_table(out, series.values[:, None], "x")
     print(f"wrote {len(series)} samples to {out} (seed {args.seed})")
     return 0
 
@@ -103,25 +106,18 @@ def cmd_periodogram(args) -> int:
     _write_table(
         out,
         np.column_stack((t, t / pg.T, j, fourier_frequencies(pg.m)[j - 1], pg.ordinates)),
-        ("%d", FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT),
         "t,u,lambda_index,lambda,MI",
     )
     print(f"wrote {pg.T} ordinates to {out}")
     return 0
 
 
-def _run_config(args, seed: int) -> dict:
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    return {**config, "seed": seed, "version": __version__}
-
-
 def _estimate_one(
-    values: np.ndarray, args, prior_cfg: PriorConfig, sampler_cfg: SamplerConfig, out_dir: Path
+    series: TimeSeries, args, prior_cfg: PriorConfig, sampler_cfg: SamplerConfig, out_dir: Path
 ) -> dict:
     # Stage timings for metadata.json: periodogram, grid, chain, summarize
     # and write (surface.csv and draws.npz, not metadata.json itself).
     marks = [time.perf_counter()]
-    series = TimeSeries(values)
     pg = moving_periodograms(series, WindowConfig(m=args.m))
     marks.append(time.perf_counter())
     grid = build_grid(pg.T, args.m, args.thinning)
@@ -139,7 +135,6 @@ def _estimate_one(
     _write_table(
         out_dir / "surface.csv",
         np.column_stack([c.ravel() for c in columns]),
-        FLOAT_FMT,
         SURFACE_HEADER,
     )
     if args.save_draws:
@@ -155,8 +150,9 @@ def _estimate_one(
         )
     marks.append(time.perf_counter())
 
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     metadata = {
-        "config": _run_config(args, sampler_cfg.seed),
+        "config": {**config, "seed": sampler_cfg.seed, "version": __version__},
         "n_draws": len(samples),
         "bayes_factor_01": summary.bayes_factor_01,
         "k1_pmf": summary.k1_pmf.tolist(),
@@ -186,12 +182,13 @@ def _estimate_one(
 def _check_fits(args, workers: int):
     """Reject a run whose large arrays, counted from the arguments alone,
     exceed physical memory: per concurrent chain, the int8 move log, the
-    (nf, n_keep) block and (4, nt, nf) statistics of ``summarize``, and the
-    output table's six columns with the two meshgrid arrays."""
+    (nf, n_keep) block and (4, nt, nf) statistics of ``summarize``, the
+    output table's six columns with the two meshgrid arrays, and the arrays
+    of length k_max (KMAX_BYTES per degree)."""
     cells = args.time_grid * args.freq_grid
     n_keep = (args.iters - args.burnin) // args.thin
     floats = args.freq_grid * n_keep + (4 + 6 + 2) * cells
-    need = workers * (args.iters * len(BLOCK_NAMES) + 8 * floats)
+    need = workers * (args.iters * len(BLOCK_NAMES) + 8 * floats + KMAX_BYTES * args.kmax)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise DataError(
@@ -201,7 +198,10 @@ def _check_fits(args, workers: int):
 
 
 def cmd_estimate(args) -> int:
-    # Bad settings fail here, before the input is read or a worker started.
+    # Bad settings fail here, before the input is read or a worker started,
+    # and a run too large for memory before PriorConfig builds its k_max tables.
+    workers = min(args.chains, os.cpu_count() or 1)
+    _check_fits(args, workers)
     prior_cfg = PriorConfig(
         k_max=args.kmax,
         basis=BetaBasisConfig(xi_left=args.xi_l, xi_right=args.xi_r),
@@ -210,12 +210,10 @@ def cmd_estimate(args) -> int:
     sampler_cfg = SamplerConfig(
         n_iter=args.iters, burn_in=args.burnin, thin=args.thin, seed=args.seed
     )
-    workers = min(args.chains, os.cpu_count() or 1)
-    _check_fits(args, workers)
     series = _read_series_csv(args.input)
     out_dir = Path(args.output_dir)
     if args.chains == 1:
-        meta = _estimate_one(series.values, args, prior_cfg, sampler_cfg, out_dir)
+        meta = _estimate_one(series, args, prior_cfg, sampler_cfg, out_dir)
         print(f"bayes_factor_01={meta['bayes_factor_01']:.6g} -> {out_dir}")
         return 0
     # Spawned seeds give independent streams; each chain's metadata.json
@@ -232,7 +230,7 @@ def cmd_estimate(args) -> int:
         futures = [
             pool.submit(
                 _estimate_one,
-                series.values,
+                series,
                 args,
                 prior_cfg,
                 replace(sampler_cfg, seed=s),

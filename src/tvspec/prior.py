@@ -55,14 +55,6 @@ class PriorConfig:
         return max(20, ceil((m * n_blocks) ** (1.0 / 3.0)))
 
 
-def _degree_log_weights(cfg: PriorConfig) -> np.ndarray:
-    """Unnormalized log pmf over 1..k_max, with the tail lumped at k_max."""
-    k = np.arange(1, cfg.k_max + 1, dtype=float)
-    w = np.exp(-cfg.degree_decay * k * np.log(k))
-    w[-1] += _tail_mass(cfg, cfg.k_max + 1)
-    return np.log(w)
-
-
 def _tail_mass(cfg: PriorConfig, start: int) -> float:
     """Sum of exp(-c k ln k) for k >= start, to numerical convergence."""
     total = 0.0
@@ -78,8 +70,12 @@ def _tail_mass(cfg: PriorConfig, start: int) -> float:
 
 
 def degree_pmf(cfg: PriorConfig) -> np.ndarray:
-    """Normalized degree pmf over 1..k_max (index 0 is k = 1)."""
-    lw = _degree_log_weights(cfg)
+    """Normalized degree pmf over 1..k_max (index 0 is k = 1), with the tail
+    lumped at k_max."""
+    k = np.arange(1, cfg.k_max + 1, dtype=float)
+    w = np.exp(-cfg.degree_decay * k * np.log(k))
+    w[-1] += _tail_mass(cfg, cfg.k_max + 1)
+    lw = np.log(w)
     w = np.exp(lw - lw.max())
     return w / w.sum()
 

@@ -10,7 +10,6 @@ infinity, so evaluation never needs log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import lgamma, log, log1p
 
 import numpy as np
@@ -28,25 +27,18 @@ class BetaBasisConfig:
             raise ValueError("need 0 < xi_left < xi_right < 1")
 
 
-DEFAULT_BASIS = BetaBasisConfig()
-
-
-@lru_cache(maxsize=None)
 def _log_factorials(n: int) -> np.ndarray:
-    """ln(i!) for i = 0..n (read-only: every caller shares the table)."""
-    table = np.array([lgamma(i + 1.0) for i in range(n + 1)])
-    table.flags.writeable = False
-    return table
+    """ln(i!) for i = 0..n."""
+    return np.array([lgamma(i + 1.0) for i in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
 def _interval_masses(n: int, cfg: BetaBasisConfig) -> np.ndarray:
     """Mass of [xi_left, xi_right] under Beta(j, n - j + 1) for j = 1..n.
 
     At integer shapes the incomplete beta function is a binomial tail,
     I_x(j, n - j + 1) = P(Bin(n, x) >= j) (DLMF 8.17.5), so both tails are
     sums of positive binomial probabilities.  The mass is a difference on the
-    smaller tail, which cannot cancel.  Read-only, like ``_log_factorials``.
+    smaller tail, which cannot cancel.
     """
     i = np.arange(n + 1)
     lf = _log_factorials(n)
@@ -57,9 +49,7 @@ def _interval_masses(n: int, cfg: BetaBasisConfig) -> np.ndarray:
     # at_least[:, j - 1] = P(Bin(n, x) >= j), below[:, j - 1] = P(Bin(n, x) < j).
     at_least = np.cumsum(pmf[:, ::-1], axis=1)[:, -2::-1]
     below = np.cumsum(pmf[:, :-1], axis=1)
-    mass = np.where(at_least[0] > 0.5, below[0] - below[1], at_least[1] - at_least[0])
-    mass.flags.writeable = False
-    return mass
+    return np.where(at_least[0] > 0.5, below[0] - below[1], at_least[1] - at_least[0])
 
 
 def standard_basis_matrix(x, k: int) -> np.ndarray:
@@ -80,7 +70,7 @@ def standard_basis_matrix(x, k: int) -> np.ndarray:
     return np.exp(ln)
 
 
-def basis_matrix(x, k: int, cfg: BetaBasisConfig = DEFAULT_BASIS) -> np.ndarray:
+def basis_matrix(x, k: int, cfg: BetaBasisConfig = BetaBasisConfig()) -> np.ndarray:
     """Truncated-dilated basis beta~(x; j, k-j+1) for j = 1..k, shape (k, len(x)):
     the standard basis at the dilated points xi_left + x (xi_right - xi_left),
     row j times the width over its mass of [xi_left, xi_right]."""
@@ -130,13 +120,6 @@ class StickBreakingMeasure:
         object.__setattr__(self, "W1", W1)
         object.__setattr__(self, "W2", W2)
 
-    @property
-    def L(self) -> int:
-        return self.V.size
-
-    def weights(self) -> np.ndarray:
-        return stick_weights(self.V)
-
 
 def atom_bins(k: int, W) -> np.ndarray:
     """Map atoms in [0, 1] to basis indices ceil(k W) clamped to >= 1."""
@@ -175,7 +158,7 @@ def bin_masses(p, bins1, bins2, k1: int, k2: int) -> np.ndarray:
 
 def weights_from_measure(k1: int, k2: int, measure: StickBreakingMeasure) -> np.ndarray:
     """Bin masses of the measure on the k1 x k2 dyadic-style grid."""
-    p, b1, b2 = measure.weights(), atom_bins(k1, measure.W1), atom_bins(k2, measure.W2)
+    p, b1, b2 = stick_weights(measure.V), atom_bins(k1, measure.W1), atom_bins(k2, measure.W2)
     return bin_masses(p[None], b1[None], b2[None], k1, k2)[0]
 
 
@@ -201,7 +184,7 @@ def evaluate_surface(params: SurfaceParams, u, lam) -> np.ndarray:
 
     m = params.measure
     # tau scales the contraction, not p: the parentheses fix the rounding.
-    vals = params.tau * (m.weights() @ atom_rows(
+    vals = params.tau * (stick_weights(m.V) @ atom_rows(
         atom_bins(params.k1, m.W1),
         atom_bins(params.k2, m.W2),
         basis_matrix(u.ravel(), params.k1, params.basis),

@@ -254,12 +254,25 @@ class TestEstimate:
         assert inline_pool == []  # no worker pool either
         assert not out.exists()
 
-    @pytest.mark.parametrize("chains", ["1", "2"])
+    # ids "1" and "2" are the wide grid; a --kmax beyond memory must fail before
+    # PriorConfig builds its k_max tables, also against a small physical memory.
+    @pytest.mark.parametrize("chains, flags, have", [
+        pytest.param(chains, flags, have, id=name + chains)
+        for name, flags, have in [
+            ("", "--time-grid 1000000 --freq-grid 1000000", None),
+            ("kmax-", "--kmax 1000000000000", None),
+            ("kmax-64MiB-", "--kmax 1000000", 2**26),
+        ]
+        for chains in ("1", "2")
+    ])
     def test_run_beyond_physical_memory_fails_before_any_work(
-            self, tmp_path, series_file, work_calls, inline_pool, capsys, chains):
+            self, tmp_path, series_file, work_calls, inline_pool, capsys, monkeypatch,
+            chains, flags, have):
+        if have is not None:
+            pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": have // 4096}
+            monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         out = tmp_path / "o"
-        assert main(["estimate", "--input", str(series_file), "--m", "15",
-                     "--time-grid", "1000000", "--freq-grid", "1000000",
+        assert main(["estimate", "--input", str(series_file), "--m", "15", *flags.split(),
                      "--chains", chains, "--output-dir", str(out)]) == 3
         assert "GiB of physical memory" in capsys.readouterr().err
         assert work_calls == []
@@ -308,17 +321,23 @@ class TestEstimate:
 
 
 class TestWriteTable:
+    # Every table is written with FLOAT_FMT; fmt is the reference format given to
+    # savetxt.  Columns 0 and 2 hold whole numbers, as the periodogram's t and
+    # lambda_index do, and must come out as %d prints them.
     @pytest.mark.parametrize("fmt", ["%.17g", ("%d", "%.17g", "%d", "%.17g")])
     @pytest.mark.parametrize("rows", [0, 1, 257, tvspec.cli.WRITE_ROWS, 2 * tvspec.cli.WRITE_ROWS + 3])
     def test_bytes_match_savetxt(self, tmp_path, fmt, rows):
         rng = np.random.default_rng(rows)
         table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
-        table[:, 0] = np.arange(rows) - 3  # whole numbers, some negative, for %d
+        table[:, ::2] = rng.integers(-(2**53), 2**53, (rows, 2), endpoint=True)
+        whole = [0.0, -1.0, 1.0, -3.0, 2.0**53, -(2.0**53), 2.0**53 - 1, 2.0**31]
+        table[:, ::2].flat[: min(2 * rows, len(whole))] = whole[: 2 * rows]
+        # -0.0 prints as "-0" under %.17g and "0" under %d: it stays in the float columns.
         edge = [0.0, -0.0, 1e-300, 1e300, -1e-300, -1e300, 0.1, 5e-324, 1.0, 2.0**53]
-        table.ravel()[: min(table.size, len(edge))] = edge[: table.size]
+        table[:, 1::2].flat[: min(2 * rows, len(edge))] = edge[: 2 * rows]
         header = "a,b,c,d"
         np.savetxt(tmp_path / "ref.csv", table, fmt=fmt, delimiter=",", header=header, comments="")
-        tvspec.cli._write_table(tmp_path / "out.csv", table, fmt, header)
+        tvspec.cli._write_table(tmp_path / "out.csv", table, header)
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -144,7 +144,7 @@ class TestLogPrior:
         pmf = degree_pmf(cfg)
         m = params.measure
         expected = (
-            m.L * np.log(2.5)
+            m.V.size * np.log(2.5)
             + 1.5 * np.sum(np.log1p(-m.V))
             + np.log(pmf[params.k1 - 1])
             + np.log(pmf[params.k2 - 1])
@@ -217,4 +217,4 @@ class TestSampling:
     def test_truncation_level_used(self):
         rng = np.random.default_rng(58)
         params = sample_prior(PriorConfig(), 500, 100, rng)
-        assert params.measure.L == 37
+        assert params.measure.V.size == 37

@@ -127,7 +127,7 @@ class TestBookkeeping:
         s = run_chain(pg, grid, PriorConfig(), SamplerConfig(n_iter=400, burn_in=100, seed=4))
         params = s.surface_params(0)
         assert params.k1 == s.k1[0]
-        assert params.measure.L == s.V.shape[1]
+        assert params.measure.V.size == s.V.shape[1]
 
     def test_progress_hook_called(self):
         pg, grid = make_inputs()

@@ -193,7 +193,7 @@ class TestWeightsFromMeasure:
         )
         k1, k2 = 5, 7
         w = weights_from_measure(k1, k2, m)
-        p = m.weights()
+        p = stick_weights(m.V)
         j1 = atom_bins(k1, m.W1)
         j2 = atom_bins(k2, m.W2)
         row = np.array([p[j1 == j].sum() for j in range(1, k1 + 1)])
